@@ -15,8 +15,8 @@ def describe(label, cfg, horizon=400, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     feats = make_features(5, dim, np.random.default_rng(99))
     path = generate_path(horizon, dim, cfg, rng)
-    flips = switching_count(path.thetas, feats.table)
-    margin = min_margin(path.thetas, feats.table)
+    flips = switching_count(path.thetas, feats)
+    margin = min_margin(path.thetas, feats)
     print(f"  {label:<22} tv_used={path.tv_used:8.3f}  budget={path.tv_budget:8.1f}"
           f"  best-action flips={flips:3d}  min margin={margin:.4f}")
 

@@ -1,9 +1,10 @@
 """Island search over bandit strategy knobs, with phase-level promotion.
 
 Several islands jitter window/regularizer/width-bonus candidates around a
-routing policy's picks; episode scores feed a pass/fail threshold, the
-top survivors form preference pairs, and the same gate used by the
-preference loop decides whether the routing policy adopts the new tilt.
+routing policy's picks; episode scores feed a pass/fail threshold and the
+top survivors form preference pairs.  Each phase's pair fit re-tilts the
+routing policy, and the same gate used by the preference loop decides
+whether the reference tilt is promoted (the reference version below).
 """
 
 from driftpref.config import RunConfig

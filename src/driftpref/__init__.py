@@ -9,20 +9,15 @@ same gate machinery, and an empirical harness that checks the supporting
 concentration and variation bounds.
 """
 
-from .config import MODES, RunConfig, parse_config, parse_seeds
+from .config import DRIFT_MODES, MODES, RunConfig, parse_config, parse_seeds
 from .env import (
-    DRIFT_MODES,
     DriftConfig,
-    FeatureSet,
-    PreferenceLabel,
     ThetaPath,
     advance_theta,
     generate_path,
+    make_drift,
     make_features,
-    sample_preference,
-    sample_reward,
     spread_drift_limits,
-    utility,
 )
 from .errors import ConfigError, ContractError, ConvergenceError
 from .estimator import (
@@ -31,8 +26,6 @@ from .estimator import (
     estimation_error_rhs,
     fit_logistic_window,
     min_curvature_constant,
-    ridge_fit,
-    window_covariance,
     window_size,
 )
 from .islands import (
@@ -45,11 +38,8 @@ from .islands import (
     run_reward_bandit,
     run_reward_episode,
     strategist_rules,
-    sw_linucb_select,
 )
 from .policies import (
-    CategoricalPolicy,
-    GateSubset,
     apply_floor,
     gate_kl_estimate,
     gibbs,
@@ -57,11 +47,9 @@ from .policies import (
     kl,
     kl_rows,
     softmax_rows,
-    value,
 )
 from .prefloop import (
     DpoFit,
-    PhaseConfig,
     PhaseReport,
     PreferencePair,
     PrefRunResult,

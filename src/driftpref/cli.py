@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_config, parse_seeds
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ConvergenceError
 from .islands import run_island_search, run_reward_bandit
 from .prefloop import PhaseReport, run_preference_loop
 from .regret import RegretLedger, slope_fit
@@ -191,31 +191,35 @@ def execute_run(cfg: RunConfig, out_dir: Path) -> int:
     gated_total = 0
     saw_rate = False
     for seed in cfg.seeds:
-        if cfg.mode in ("evodpo", "fixed-ref"):
-            res = run_preference_loop(cfg, seed)
-            ledger = res.ledger
-            phases = res.phases
-            final = ledger.final_regret()
-            if res.accept_rate() is not None:
-                saw_rate = True
-                accepted_total += res.accepted_phases
-                gated_total += res.gated_phases
-        elif cfg.mode == "reward-bandit":
-            res = run_reward_bandit(cfg, seed)
-            ledger = _reward_ledger(res)
-            phases = []
-            final = res.nmr
-        elif cfg.mode == "atlas":
-            res = run_island_search(cfg, seed)
-            ledger = _atlas_ledger(res)
-            phases = res.phases
-            final = res.final_metric
-            if res.accept_rate() is not None:
-                saw_rate = True
-                accepted_total += res.accepted_phases
-                gated_total += res.gated_phases
-        else:
-            raise ConfigError(f"mode {cfg.mode!r} is not runnable")
+        try:
+            if cfg.mode in ("evodpo", "fixed-ref"):
+                res = run_preference_loop(cfg, seed)
+                ledger = res.ledger
+                phases = res.phases
+                final = ledger.final_regret()
+                if res.accept_rate() is not None:
+                    saw_rate = True
+                    accepted_total += res.accepted_phases
+                    gated_total += res.gated_phases
+            elif cfg.mode == "reward-bandit":
+                res = run_reward_bandit(cfg, seed)
+                ledger = _reward_ledger(res)
+                phases = []
+                final = res.nmr
+            elif cfg.mode == "atlas":
+                res = run_island_search(cfg, seed)
+                ledger = _atlas_ledger(res)
+                phases = res.phases
+                final = res.final_metric
+                if res.accept_rate() is not None:
+                    saw_rate = True
+                    accepted_total += res.accepted_phases
+                    gated_total += res.gated_phases
+            else:
+                raise ConfigError(f"mode {cfg.mode!r} is not runnable")
+        except ConvergenceError as exc:
+            exc.seed = seed
+            raise
         finals.append(float(final))
         slope = _checkpoint_slope(ledger.regret_cum)
         if slope is not None:
@@ -240,7 +244,11 @@ def execute_run(cfg: RunConfig, out_dir: Path) -> int:
 def execute_verify(cfg: RunConfig, out_dir: Path) -> int:
     """Run the bound checks and emit their JSON reports plus a CSV table."""
     seed = cfg.seeds[0] if cfg.seeds else 0
-    reports = run_standard_checks(cfg, seed=seed)
+    try:
+        reports = run_standard_checks(cfg, seed=seed)
+    except ConvergenceError as exc:
+        exc.seed = seed
+        raise
     payload = {"checks": [r.to_dict() for r in reports]}
     if cfg.scaling:
         payload["regret_scaling"] = check_regret_scaling().to_dict()
@@ -370,6 +378,10 @@ def main(argv=None) -> int:
     except (ConfigError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ConvergenceError as exc:
+        seed = "" if exc.seed is None else f" seed {exc.seed}"
+        sys.stderr.write(f"error: {cfg.mode}{seed}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -190,7 +190,4 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     base_cfg = base if base is not None else RunConfig()
-    try:
-        return replace(base_cfg, **values)
-    except ConfigError:
-        raise
+    return replace(base_cfg, **values)

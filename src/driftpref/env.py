@@ -6,8 +6,7 @@ magnitude, then projects back to the sphere. Total variation (the summed step
 distances) is capped by a budget; a step that would overflow the remaining
 budget is skipped, so once the budget runs out the parameter is frozen.
 
-Action feature vectors are unit rows, utilities are inner products, and
-pairwise preferences follow a Bradley-Terry draw on the utility difference.
+Action feature vectors are unit rows and utilities are inner products.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import DRIFT_MODES, RunConfig
 from .errors import ConfigError, ContractError
-from .numerics import sigmoid
-
-DRIFT_MODES = ("sphere-walk", "frozen")
 
 # Unit-norm slack for preconditions on theta.
 _NORM_TOL = 1e-9
@@ -55,36 +52,6 @@ class ThetaPath:
 
     def __len__(self) -> int:
         return self.thetas.shape[0]
-
-
-@dataclass
-class FeatureSet:
-    """Feature vectors for one context: K unit-norm action rows."""
-
-    table: np.ndarray  # (K, d)
-    phi_max: float = 1.0
-
-    def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=float)
-        if self.table.ndim != 2:
-            raise ContractError("feature table must be 2-d (actions x dims)")
-        norms = np.linalg.norm(self.table, axis=1)
-        if np.any(norms > self.phi_max + _NORM_TOL):
-            raise ContractError("feature rows exceed the stated norm bound")
-
-
-@dataclass
-class PreferenceLabel:
-    """Outcome of one Bradley-Terry comparison between two actions."""
-
-    winner_is_first: bool
-    probability_used: float  # probability that the first action wins
-
-    def __post_init__(self):
-        if not 0.0 < self.probability_used < 1.0:
-            raise ContractError(
-                f"probability_used must lie in (0, 1), got {self.probability_used}"
-            )
 
 
 def _check_unit(theta: np.ndarray) -> np.ndarray:
@@ -155,8 +122,8 @@ def generate_path(
     return ThetaPath(thetas=thetas, tv_used=tv_used, tv_budget=cfg.tv_budget)
 
 
-def make_features(n_actions: int, dim: int, rng: np.random.Generator) -> FeatureSet:
-    """Draw one context: n_actions feature rows, each normalized to unit length."""
+def make_features(n_actions: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one context: an (n_actions, dim) table of unit-length feature rows."""
     if n_actions < 2 or dim < 1:
         raise ConfigError(f"need n_actions >= 2 and dim >= 1, got {n_actions}, {dim}")
     rows = rng.standard_normal((n_actions, dim))
@@ -166,43 +133,7 @@ def make_features(n_actions: int, dim: int, rng: np.random.Generator) -> Feature
         rows[bad] = rng.standard_normal((int(bad.sum()), dim))
         norms = np.linalg.norm(rows, axis=1)
     rows /= norms[:, None]
-    return FeatureSet(table=rows, phi_max=1.0)
-
-
-def utility(theta: np.ndarray, phi: np.ndarray) -> np.ndarray | float:
-    """Inner-product utility; accepts a single row (d,) or a table (K, d)."""
-    phi = np.asarray(phi, dtype=float)
-    out = phi @ np.asarray(theta, dtype=float)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def sample_preference(
-    theta: np.ndarray,
-    phi_first: np.ndarray,
-    phi_second: np.ndarray,
-    rng: np.random.Generator,
-) -> PreferenceLabel:
-    """Bradley-Terry comparison of two actions under the current utilities."""
-    gap = float(utility(theta, phi_first)) - float(utility(theta, phi_second))
-    p_first = float(sigmoid(gap))
-    return PreferenceLabel(
-        winner_is_first=bool(rng.uniform() < p_first),
-        probability_used=p_first,
-    )
-
-
-def sample_reward(
-    theta: np.ndarray,
-    phi: np.ndarray,
-    rng: np.random.Generator,
-    noise_scale: float = 1.0,
-) -> float:
-    """Noisy scalar reward: utility plus Gaussian noise."""
-    if noise_scale < 0.0:
-        raise ConfigError(f"noise_scale must be nonnegative, got {noise_scale}")
-    return float(utility(theta, phi)) + noise_scale * float(rng.standard_normal())
+    return rows
 
 
 def spread_drift_limits(cfg: DriftConfig, horizon: int, dim: int) -> DriftConfig:
@@ -223,3 +154,12 @@ def spread_drift_limits(cfg: DriftConfig, horizon: int, dim: int) -> DriftConfig
     scale = 0.9 * cfg.tv_budget / (horizon * mean_mag * perp)
     scale = min(scale, 1.0)
     return replace(cfg, delta_min=cfg.delta_min * scale, delta_max=cfg.delta_max * scale)
+
+
+def make_drift(cfg: RunConfig, horizon: int) -> DriftConfig:
+    """The run's drift law, spread over drift_spread_h (or horizon) if drift_spread."""
+    drift = DriftConfig(cfg.delta_min, cfg.delta_max, cfg.drift_mode, cfg.V_T)
+    if cfg.drift_spread and drift.mode == "sphere-walk":
+        spread_h = cfg.drift_spread_h if cfg.drift_spread_h > 0 else horizon
+        drift = spread_drift_limits(drift, spread_h, cfg.d)
+    return drift

@@ -1,11 +1,9 @@
 """Sliding-window parameter estimation.
 
-Two fits share one windowed buffer of (feature, label) rows:
-
-* regularized logistic regression for preference data, where each feature row
-  is the difference between the two compared actions' features and the label
-  is 1 when the first action won;
-* ridge regression for scalar-reward data.
+A windowed buffer of (feature, label) rows feeds a regularized logistic
+regression for preference data: each feature row is the difference between
+the two compared actions' features and the label is 1 when the first action
+won.
 
 The logistic solve is a damped Newton iteration with an Armijo backtracking
 line search and a gradient-descent fallback; the problem is strictly convex,
@@ -89,16 +87,6 @@ def window_size(horizon: int, kappa: float) -> int:
     return max(1, math.ceil(horizon**kappa))
 
 
-def window_covariance(buffer: WindowBuffer, lam: float) -> tuple[np.ndarray, float]:
-    """Regularized Gram matrix of the window and its smallest eigenvalue."""
-    if lam <= 0.0:
-        raise ConfigError(f"lam must be positive, got {lam}")
-    X = buffer.features
-    A = X.T @ X + lam * np.eye(buffer.dim)
-    lam_min = float(np.linalg.eigvalsh(A)[0])
-    return A, lam_min
-
-
 def _logistic_objective(theta, X, p, lam):
     z = X @ theta
     return float(np.sum(softplus(z) - p * z) + 0.5 * lam * theta @ theta)
@@ -174,23 +162,6 @@ def fit_logistic_window(
     if grad_norm <= tol:
         return WindowEstimate(theta, A, lam_min, len(buffer), True, grad_norm)
     raise ConvergenceError("window logistic fit did not converge", theta, grad_norm)
-
-
-def ridge_fit(buffer: WindowBuffer, lam: float) -> WindowEstimate:
-    """Exact regularized least squares on the window's (feature, reward) rows."""
-    if lam <= 0.0:
-        raise ConfigError(f"lam must be positive, got {lam}")
-    X = buffer.features
-    y = buffer.labels
-    d = buffer.dim
-    A = X.T @ X + lam * np.eye(d)
-    lam_min = float(np.linalg.eigvalsh(A)[0])
-    if len(buffer) == 0:
-        return WindowEstimate(np.zeros(d), A, lam_min, 0, True, 0.0)
-    b = X.T @ y
-    theta = np.linalg.solve(A, b)
-    residual = float(np.linalg.norm(A @ theta - b))
-    return WindowEstimate(theta, A, lam_min, len(buffer), residual <= 1e-8, residual)
 
 
 def min_curvature_constant(phi_max: float = 1.0, theta_max: float = 1.0) -> float:

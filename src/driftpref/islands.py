@@ -20,16 +20,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig
-from .env import DriftConfig, generate_path, spread_drift_limits
-from .errors import ConfigError
+from .env import DriftConfig, ThetaPath, generate_path, make_drift
+from .errors import ConfigError, ContractError
 from .policies import gate_kl_estimate, inspector_score, softmax_rows
 from .prefloop import (
-    PhaseConfig,
     PhaseReport,
     PreferencePair,
     fit_dpo,
     gate,
-    phase_config_from_run,
     propose_reference,
     sample_categorical,
 )
@@ -93,22 +91,6 @@ def default_anchor_panel() -> tuple[list[StrategyCandidate], np.ndarray]:
     return anchors, feats[None, :, :]
 
 
-def sw_linucb_select(
-    feats: np.ndarray, theta_hat: np.ndarray, A: np.ndarray, alpha: float
-) -> int:
-    """Optimistic arm choice: estimate plus alpha * covariance width.
-
-    Ties resolve to the lowest arm index.
-    """
-    if alpha < 0.0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    feats = np.asarray(feats, dtype=float)
-    solved = np.linalg.solve(A, feats.T)  # (d, K)
-    widths = np.sqrt(np.maximum(np.sum(feats.T * solved, axis=0), 0.0))
-    scores = feats @ np.asarray(theta_hat, dtype=float) + alpha * widths
-    return int(np.argmax(scores))
-
-
 @dataclass
 class EpisodeResult:
     """One reward-bandit episode's regret accounting."""
@@ -125,57 +107,54 @@ def run_reward_episode(
     K: int,
     d: int,
     horizon: int,
-    drift: DriftConfig,
+    path: ThetaPath,
     noise_scale: float,
-    rng_path: np.random.Generator,
     rng_ctx: np.random.Generator,
     rng_noise: np.random.Generator,
 ) -> EpisodeResult:
-    """Play the sliding-window UCB policy against a drifting reward stream."""
+    """Play the sliding-window UCB policy against rewards drifting along path."""
     if K < 1 or horizon < 1:
         raise ConfigError("need K >= 1 and horizon >= 1")
-    path = generate_path(horizon, d, drift, rng_path)
+    if path.thetas.shape != (horizon, d):
+        raise ContractError(
+            f"path has shape {path.thetas.shape}, expected {(horizon, d)}")
     feats = rng_ctx.standard_normal((horizon, K, d))
     feats /= np.linalg.norm(feats, axis=2, keepdims=True)
 
+    # Everything that does not depend on the chosen arms is computed up front;
+    # each (K, d) @ (d,) slice gives the same bits as the per-step product.
+    utils = np.matmul(feats, path.thetas[:, :, None])[:, :, 0]
+    stale = np.matmul(feats[1:], path.thetas[:-1, :, None])[:, :, 0]
+    noise = rng_noise.standard_normal(horizon)
+    expected_best = utils.max(axis=1)
+    oracle_arm = np.argmax(utils, axis=1)
+    switch = np.zeros(horizon, dtype=int)
+    switch[1:] = oracle_arm[1:] != np.argmax(stale, axis=1)
+
     W = cand.window_size
-    ring_x = np.zeros((W, d))
-    ring_r = np.zeros(W)
-    pos = 0
-    size = 0
     A = cand.lambda_reg * np.eye(d)
     b = np.zeros(d)
-
-    expected_best = np.empty(horizon)
-    expected_chosen = np.empty(horizon)
-    oracle_arm = np.zeros(horizon, dtype=int)
-    switch = np.zeros(horizon, dtype=int)
+    rhs = np.empty((d, K + 1))
+    arms = np.empty(horizon, dtype=int)
+    rewards = np.empty(horizon)
     for t in range(horizon):
-        u = feats[t] @ path.thetas[t]
-        rhs = np.concatenate([b[:, None], feats[t].T], axis=1)
+        ft = feats[t]
+        rhs[:, 0] = b
+        rhs[:, 1:] = ft.T
         solved = np.linalg.solve(A, rhs)
-        theta_hat = solved[:, 0]
-        widths = np.sqrt(np.maximum(np.sum(feats[t].T * solved[:, 1:], axis=0), 0.0))
-        arm = int(np.argmax(feats[t] @ theta_hat + cand.ucb_alpha * widths))
-        reward = float(u[arm]) + noise_scale * float(rng_noise.standard_normal())
-
-        expected_best[t] = float(u.max())
-        expected_chosen[t] = float(u[arm])
-        oracle_arm[t] = int(np.argmax(u))
-        if t > 0:
-            switch[t] = int(oracle_arm[t] != int(np.argmax(feats[t] @ path.thetas[t - 1])))
-
-        x = feats[t, arm]
-        if size == W:
-            old_x = ring_x[pos]
-            A -= np.outer(old_x, old_x)
-            b -= ring_r[pos] * old_x
-        ring_x[pos] = x
-        ring_r[pos] = reward
-        A += np.outer(x, x)
+        widths = np.sqrt(np.maximum((ft.T * solved[:, 1:]).sum(axis=0), 0.0))
+        arm = int((ft @ solved[:, 0] + cand.ucb_alpha * widths).argmax())
+        reward = float(utils[t, arm]) + noise_scale * float(noise[t])
+        if t >= W:  # the window is full: drop its oldest observation
+            old_x = feats[t - W, arms[t - W]]
+            A -= old_x[:, None] * old_x
+            b -= rewards[t - W] * old_x
+        x = ft[arm]
+        A += x[:, None] * x
         b += reward * x
-        pos = (pos + 1) % W
-        size = min(size + 1, W)
+        arms[t] = arm
+        rewards[t] = reward
+    expected_chosen = utils[np.arange(horizon), arms]
 
     return EpisodeResult(
         expected_best=expected_best,
@@ -191,16 +170,26 @@ def make_episode_scorer(cfg: RunConfig, seed: int):
 
     The evaluation streams depend on (seed, round, episode) only, never on
     the island, so identical candidates get identical scores wherever they
-    are proposed.
+    are proposed. The drift paths of the latest round are kept, since every
+    candidate of a round plays against the same ones.
     """
+    # Known bug: this ignores drift_spread. make_drift(cfg, cfg.eval_horizon)
+    # would honour it, but changes atlas outputs, so it waits for its own change.
     drift = DriftConfig(cfg.delta_min, cfg.delta_max, cfg.drift_mode, cfg.V_T)
+    paths: dict[int, list[ThetaPath]] = {}
 
     def scorer(cand: StrategyCandidate, round_idx: int) -> float:
+        if round_idx not in paths:
+            paths.clear()
+            paths[round_idx] = [
+                generate_path(cfg.eval_horizon, cfg.d, drift, np.random.default_rng(
+                    [seed, _S_EVAL, round_idx, ep, _S_EPATH]))
+                for ep in range(cfg.eval_episodes)
+            ]
         total = 0.0
-        for ep in range(cfg.eval_episodes):
+        for ep, path in enumerate(paths[round_idx]):
             ep_res = run_reward_episode(
-                cand, cfg.K, cfg.d, cfg.eval_horizon, drift, cfg.noise_scale,
-                np.random.default_rng([seed, _S_EVAL, round_idx, ep, _S_EPATH]),
+                cand, cfg.K, cfg.d, cfg.eval_horizon, path, cfg.noise_scale,
                 np.random.default_rng([seed, _S_EVAL, round_idx, ep, _S_ECTX]),
                 np.random.default_rng([seed, _S_EVAL, round_idx, ep, _S_ENOISE]),
             )
@@ -240,7 +229,6 @@ class Telemetry:
     """Rolling gate outcomes the strategist reacts to."""
 
     decisions: list[str] = field(default_factory=list)
-    delta_s: list[float] = field(default_factory=list)
 
 
 def island_step(
@@ -331,14 +319,12 @@ def build_pairs_top_s(
         records.append(record)
         if winner.anchor == loser.anchor:
             continue
-        pairs.append(PreferencePair(
-            context_id=0, winner=winner.anchor, loser=loser.anchor,
-            meta={"winner_index": winner.index, "loser_index": loser.index},
-        ))
+        pairs.append(PreferencePair(context_id=0, winner=winner.anchor,
+                                    loser=loser.anchor))
     return pairs, records
 
 
-def strategist_rules(telemetry: Telemetry, cfg: PhaseConfig) -> PhaseConfig:
+def strategist_rules(telemetry: Telemetry, cfg: RunConfig) -> RunConfig:
     """Adjust phase settings from recent gate outcomes.
 
     Two consecutive rejections soften the fit temperature (beta * 0.8,
@@ -392,7 +378,6 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     """Run the full island loop: explore every round, gate at phase ends."""
     anchors, anchor_feats = default_anchor_panel()
     n_anchors = anchor_feats.shape[1]
-    pcfg = phase_config_from_run(cfg)
     scorer = make_episode_scorer(cfg, seed)
     rng_gate = np.random.default_rng([seed, _S_GATE2])
     rng_pairs = np.random.default_rng([seed, _S_PAIRS])
@@ -442,44 +427,39 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
             phase_index += 1
             phase_entries = [e for e in entries[phase_entries_start:] if not e.failure]
             phase_entries_start = len(entries)
-            if not phase_entries:
-                phases.append(PhaseReport(
-                    phase_index=phase_index, n_pairs=0, loss_trace=[],
-                    delta_s=math.nan, kl_hat=math.nan, decision="skipped",
-                    accepted=False, chosen="", ref_version_before=ref_version,
-                    ref_version_after=ref_version, beta=pcfg.beta,
-                    eps_s=pcfg.eps_s, delta_H=pcfg.delta_H, gate_size=0,
+            pairs = []
+            if phase_entries:
+                threshold = float(np.quantile(np.asarray(score_window), cfg.pass_quantile))
+                pairs, records = build_pairs_top_s(phase_entries, cfg.top_s, threshold,
+                                                   rng_pairs)
+                snapshots.append(PhaseSnapshot(
+                    phase_index=phase_index, threshold=threshold,
+                    entry_indices=[e.index for e in phase_entries],
+                    entry_scores=[e.score for e in phase_entries],
+                    pair_records=records,
                 ))
-                continue
-            threshold = float(np.quantile(np.asarray(score_window), pcfg.pass_quantile))
-            pairs, records = build_pairs_top_s(phase_entries, cfg.top_s, threshold, rng_pairs)
-            snapshots.append(PhaseSnapshot(
-                phase_index=phase_index, threshold=threshold,
-                entry_indices=[e.index for e in phase_entries],
-                entry_scores=[e.score for e in phase_entries],
-                pair_records=records,
-            ))
             if not pairs:
                 phases.append(PhaseReport(
                     phase_index=phase_index, n_pairs=0, loss_trace=[],
                     delta_s=math.nan, kl_hat=math.nan, decision="skipped",
                     accepted=False, chosen="", ref_version_before=ref_version,
-                    ref_version_after=ref_version, beta=pcfg.beta,
-                    eps_s=pcfg.eps_s, delta_H=pcfg.delta_H, gate_size=0,
+                    ref_version_after=ref_version, beta=cfg.beta,
+                    eps_s=cfg.eps_s, delta_H=cfg.delta_H, gate_size=0,
                 ))
                 continue
             dataset.append(pairs)
             all_pairs = [p for chunk in dataset for p in chunk]
 
             ref_rows = softmax_rows(anchor_feats[0] @ g_ref, floor=cfg.pi_min)[None, :]
-            fit_full = fit_dpo(ref_rows, anchor_feats, all_pairs, pcfg.beta,
+            fit_full = fit_dpo(ref_rows, anchor_feats, all_pairs, cfg.beta,
                                lam=cfg.dpo_lam, floor=cfg.pi_min)
             half = all_pairs[: math.ceil(len(all_pairs) / 2)]
-            fit_half = fit_dpo(ref_rows, anchor_feats, half, pcfg.beta,
+            fit_half = fit_dpo(ref_rows, anchor_feats, half, cfg.beta,
                                lam=cfg.dpo_lam, floor=cfg.pi_min)
-            g_policy = g_ref + fit_full.tilt / pcfg.beta
+            # The routing policy follows every phase fit; the gate moves only g_ref.
+            g_policy = g_ref + fit_full.tilt / cfg.beta
 
-            take = min(pcfg.gate_size, len(phase_entries))
+            take = min(cfg.gate_size, len(phase_entries))
             picked = rng_gate.choice(len(phase_entries), size=take, replace=False)
             subset = [phase_entries[i] for i in picked]
             u_hat = np.full(n_anchors, np.mean([e.score for e in subset]))
@@ -490,18 +470,18 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                 u_hat[a] = float(np.mean(vals))
             u_rows = u_hat[None, :]
 
-            tilts = [g_ref + fit_full.tilt / pcfg.beta,
-                     g_ref + fit_half.tilt / pcfg.beta,
+            tilts = [g_ref + fit_full.tilt / cfg.beta,
+                     g_ref + fit_half.tilt / cfg.beta,
                      g_ref]
             cand_rows = [
                 softmax_rows(anchor_feats[0] @ g, floor=cfg.pi_min)[None, :]
                 for g in tilts
             ]
-            best, _ = propose_reference(cand_rows, cand_rows[2], u_rows, pcfg.beta_ref)
+            best, _ = propose_reference(cand_rows, cand_rows[2], u_rows, cfg.beta_ref)
             delta_s = inspector_score(cand_rows[best], u_rows) - inspector_score(
                 cand_rows[2], u_rows)
             kl_hat = gate_kl_estimate(cand_rows[best], cand_rows[2])
-            accepted = gate(delta_s, kl_hat, pcfg)
+            accepted = gate(delta_s, kl_hat, cfg)
             decision = "accept" if accepted else "reject"
             if accepted and best != 2:
                 g_ref = tilts[best]
@@ -510,17 +490,16 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
             if accepted:
                 accepted_phases += 1
             telemetry.decisions.append(decision)
-            telemetry.delta_s.append(float(delta_s))
             phases.append(PhaseReport(
                 phase_index=phase_index, n_pairs=len(all_pairs),
                 loss_trace=fit_full.loss_trace, delta_s=float(delta_s),
                 kl_hat=float(kl_hat), decision=decision, accepted=accepted,
                 chosen=("full", "half", "reference")[best],
                 ref_version_before=ref_version - (1 if accepted and best != 2 else 0),
-                ref_version_after=ref_version, beta=pcfg.beta, eps_s=pcfg.eps_s,
-                delta_H=pcfg.delta_H, gate_size=take,
+                ref_version_after=ref_version, beta=cfg.beta, eps_s=cfg.eps_s,
+                delta_H=cfg.delta_H, gate_size=take,
             ))
-            pcfg = strategist_rules(telemetry, pcfg)
+            cfg = strategist_rules(telemetry, cfg)
 
     final_metric = float(np.mean(score_window)) if score_window else math.nan
     return IslandRunResult(
@@ -548,13 +527,10 @@ def run_reward_bandit(cfg: RunConfig, seed: int) -> RewardRunResult:
         window_size=cfg.window_size, lambda_reg=cfg.lambda_reg,
         ucb_alpha=cfg.ucb_alpha,
     )
-    drift = DriftConfig(cfg.delta_min, cfg.delta_max, cfg.drift_mode, cfg.V_T)
-    if cfg.drift_spread and drift.mode == "sphere-walk":
-        spread_h = cfg.drift_spread_h if cfg.drift_spread_h > 0 else cfg.H
-        drift = spread_drift_limits(drift, spread_h, cfg.d)
+    path = generate_path(cfg.H, cfg.d, make_drift(cfg, cfg.H),
+                         np.random.default_rng([seed, _S_EPATH]))
     episode = run_reward_episode(
-        cand, cfg.K, cfg.d, cfg.H, drift, cfg.noise_scale,
-        np.random.default_rng([seed, _S_EPATH]),
+        cand, cfg.K, cfg.d, cfg.H, path, cfg.noise_scale,
         np.random.default_rng([seed, _S_ECTX]),
         np.random.default_rng([seed, _S_ENOISE]),
     )

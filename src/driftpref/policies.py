@@ -11,15 +11,11 @@ learner's policy and the reference-promotion candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, ContractError
 
 DEFAULT_SUPPORT_FLOOR = 1e-9
-
-_ROW_SUM_TOL = 1e-9
 
 
 def apply_floor(table: np.ndarray, floor: float = DEFAULT_SUPPORT_FLOOR) -> np.ndarray:
@@ -37,38 +33,6 @@ def apply_floor(table: np.ndarray, floor: float = DEFAULT_SUPPORT_FLOOR) -> np.n
     return (1.0 - n_actions * floor) * table + floor
 
 
-@dataclass
-class CategoricalPolicy:
-    """Probability table (n_contexts, n_actions) with a support floor."""
-
-    table: np.ndarray
-    support_floor: float = DEFAULT_SUPPORT_FLOOR
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim == 1:
-            table = table[None, :]
-        if table.ndim != 2:
-            raise ContractError("policy table must be 1-d or 2-d")
-        if np.any(table < 0.0):
-            raise ContractError("policy rows must be nonnegative")
-        sums = table.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
-            raise ContractError("policy rows must sum to 1")
-        self.table = apply_floor(table / sums[:, None], self.support_floor)
-
-    @property
-    def n_contexts(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.table.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.table[i]
-
-
 def gibbs(
     pi_ref: np.ndarray,
     u: np.ndarray,
@@ -78,7 +42,7 @@ def gibbs(
     """Tilt reference rows by exp(u / beta) and renormalize (log-domain).
 
     Accepts a single row (K,) with utilities (K,), or tables (n, K).
-    Maximizes value(pi, u) - beta * kl(pi, pi_ref) exactly when floor = 0.
+    Maximizes pi @ u - beta * kl(pi, pi_ref) exactly when floor = 0.
     """
     if beta <= 0.0:
         raise ConfigError(f"beta must be positive, got {beta}")
@@ -139,41 +103,6 @@ def kl_rows(p_table: np.ndarray, q_table: np.ndarray) -> np.ndarray:
     mask = p_table > 0.0
     ratio[mask] = p_table[mask] * (np.log(p_table[mask]) - np.log(q_table[mask]))
     return ratio.sum(axis=1)
-
-
-def value(pi: np.ndarray, u: np.ndarray) -> float:
-    """Expected utility of one probability row."""
-    pi = np.asarray(pi, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if pi.shape != u.shape or pi.ndim != 1:
-        raise ContractError("pi and u must be rows of equal length")
-    return float(pi @ u)
-
-
-@dataclass
-class GateSubset:
-    """Context indices used for one phase's gate statistics."""
-
-    ids: np.ndarray
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=int)
-        if len(np.unique(self.ids)) != self.ids.shape[0]:
-            raise ContractError("gate subset ids must be unique")
-
-    @property
-    def size(self) -> int:
-        return int(self.ids.shape[0])
-
-    @classmethod
-    def sample(
-        cls, population: int, size: int, rng: np.random.Generator
-    ) -> "GateSubset":
-        """Sample ids without replacement; size is clamped to the population."""
-        if population < 1:
-            raise ContractError("gate subset population must be nonempty")
-        take = min(size, population)
-        return cls(ids=rng.choice(population, size=take, replace=False))
 
 
 def gate_kl_estimate(pi_rows: np.ndarray, ref_rows: np.ndarray) -> float:

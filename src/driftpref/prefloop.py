@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import RunConfig
-from .env import DriftConfig, generate_path, make_features, spread_drift_limits
+from .env import generate_path, make_drift, make_features
 from .errors import ConfigError, ContractError, ConvergenceError
 from .estimator import WindowBuffer, fit_logistic_window, window_size
 from .numerics import log_sigmoid, sigmoid, softplus
@@ -41,46 +41,10 @@ class PreferencePair:
     context_id: int
     winner: int
     loser: int
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.winner == self.loser:
             raise ContractError("a preference pair needs two distinct actions")
-
-
-@dataclass
-class PhaseConfig:
-    """Gate and fit settings for the phase loop."""
-
-    beta: float = 0.6
-    beta_ref: float = 0.01
-    eps_s: float = 0.0007
-    delta_H: float = 0.002
-    phase_length: int = 20
-    gate_size: int = 32
-    pass_quantile: float = 0.5
-
-    def __post_init__(self):
-        if self.beta <= 0.0 or self.beta_ref <= 0.0:
-            raise ConfigError("beta and beta_ref must be positive")
-        if self.eps_s < 0.0 or self.delta_H < 0.0:
-            raise ConfigError("eps_s and delta_H must be nonnegative")
-        if self.phase_length < 1 or self.gate_size < 1:
-            raise ConfigError("phase_length and gate_size must be >= 1")
-        if not 0.0 < self.pass_quantile < 1.0:
-            raise ConfigError("pass_quantile must lie in (0, 1)")
-
-
-def phase_config_from_run(cfg: RunConfig) -> PhaseConfig:
-    return PhaseConfig(
-        beta=cfg.beta,
-        beta_ref=cfg.beta_ref,
-        eps_s=cfg.eps_s,
-        delta_H=cfg.delta_H,
-        phase_length=cfg.phase_length,
-        gate_size=cfg.gate_size,
-        pass_quantile=cfg.pass_quantile,
-    )
 
 
 @dataclass
@@ -249,7 +213,7 @@ def propose_reference(
     return best, objectives
 
 
-def gate(delta_s: float, kl_hat: float, cfg: PhaseConfig) -> bool:
+def gate(delta_s: float, kl_hat: float, cfg: RunConfig) -> bool:
     """Accept iff the score improvement and KL budget both clear (inclusive)."""
     return bool(delta_s >= cfg.eps_s and kl_hat <= cfg.delta_H)
 
@@ -313,17 +277,12 @@ def _warm_start(
 
 
 def run_preference_loop(
-    cfg: RunConfig,
-    seed: int,
-    evolving: bool | None = None,
-    force_reject: bool = False,
+    cfg: RunConfig, seed: int, evolving: bool | None = None
 ) -> PrefRunResult:
     """Run the full drifting-preference loop for one seed.
 
     evolving defaults from cfg.mode ('evodpo' evolves the reference,
-    'fixed-ref' never does). force_reject keeps the evolving machinery but
-    overrides every gate decision, which reproduces the fixed-reference run
-    exactly.
+    'fixed-ref' never does).
     """
     if evolving is None:
         if cfg.mode not in ("evodpo", "fixed-ref"):
@@ -331,14 +290,9 @@ def run_preference_loop(
         evolving = cfg.mode == "evodpo"
     if cfg.K < 2:
         raise ConfigError("preference collection needs at least two actions")
-    pcfg = phase_config_from_run(cfg)
     H, K, d = cfg.H, cfg.K, cfg.d
     W = window_size(H, cfg.kappa)
-
-    drift = DriftConfig(cfg.delta_min, cfg.delta_max, cfg.drift_mode, cfg.V_T)
-    if cfg.drift_spread and drift.mode == "sphere-walk":
-        spread_h = cfg.drift_spread_h if cfg.drift_spread_h > 0 else H
-        drift = spread_drift_limits(drift, spread_h, d)
+    drift = make_drift(cfg, H)
 
     rng_path = np.random.default_rng([seed, _S_PATH])
     rng_ctx = np.random.default_rng([seed, _S_CTX])
@@ -347,7 +301,7 @@ def run_preference_loop(
 
     path = generate_path(H, d, drift, rng_path)
     if cfg.fixed_context:
-        shared = make_features(K, d, rng_ctx).table
+        shared = make_features(K, d, rng_ctx)
         feats_all = np.broadcast_to(shared, (H, K, d))
     else:
         feats_all = rng_ctx.standard_normal((H, K, d))
@@ -390,8 +344,8 @@ def run_preference_loop(
             est = fit_logistic_window(buffer, cfg.lam, theta0=theta_hat)
             theta_hat = est.theta_hat
 
-        learner = softmax_rows(phi @ (g_ref + theta_hat / pcfg.beta), floor=floor)
-        comparator = softmax_rows(phi @ (g_ref + theta / pcfg.beta_ref), floor=floor)
+        learner = softmax_rows(phi @ (g_ref + theta_hat / cfg.beta), floor=floor)
+        comparator = softmax_rows(phi @ (g_ref + theta / cfg.beta_ref), floor=floor)
 
         # ledger before any phase update: the reference is constant in-phase
         oracle = oracle_action(u_true)
@@ -416,22 +370,18 @@ def run_preference_loop(
         first_wins = bool(rng_agent.uniform() < p_first)
         winner, loser = (first, second) if first_wins else (second, first)
         buffer.push(phi[first] - phi[second], 1.0 if first_wins else 0.0)
-        phase_pairs.append(
-            PreferencePair(context_id=t, winner=winner, loser=loser,
-                           meta={"phase": phase_index + 1})
-        )
+        phase_pairs.append(PreferencePair(context_id=t, winner=winner, loser=loser))
 
         if (t + 1) % cfg.phase_length == 0 and phase_index < max_phases:
             phase_index += 1
             dataset.append(phase_pairs)
             report, g_new, version_new = _run_phase(
                 phase_index, dataset, feats_all, g_ref, ref_version, theta_hat,
-                path.thetas[t], pcfg, cfg, rng_gate, evolving, force_reject,
+                path.thetas[t], cfg, rng_gate, evolving,
                 phase_start=t + 1 - cfg.phase_length,
             )
             phases.append(report)
-            if report.decision != "skipped":
-                gated_phases += 1
+            gated_phases += 1
             if report.accepted:
                 accepted_phases += 1
             g_ref, ref_version = g_new, version_new
@@ -459,24 +409,13 @@ def _run_phase(
     ref_version: int,
     theta_hat: np.ndarray,
     theta_true: np.ndarray,
-    pcfg: PhaseConfig,
     cfg: RunConfig,
     rng_gate: np.random.Generator,
     evolving: bool,
-    force_reject: bool,
     phase_start: int,
 ) -> tuple[PhaseReport, np.ndarray, int]:
     """Fit candidates, gate the best one, and maybe promote the reference."""
     pairs = [p for chunk in dataset for p in chunk]
-    if not pairs:
-        report = PhaseReport(
-            phase_index=phase_index, n_pairs=0, loss_trace=[], delta_s=float("nan"),
-            kl_hat=float("nan"), decision="skipped", accepted=False, chosen="",
-            ref_version_before=ref_version, ref_version_after=ref_version,
-            beta=pcfg.beta, eps_s=pcfg.eps_s, delta_H=pcfg.delta_H, gate_size=0,
-        )
-        return report, g_ref, ref_version
-
     # remap pair contexts onto a compact table of the contexts they touch
     ctx_ids = sorted({p.context_id for p in pairs})
     pos = {c: i for i, c in enumerate(ctx_ids)}
@@ -486,23 +425,23 @@ def _run_phase(
     )
     local_pairs = [replace(p, context_id=pos[p.context_id]) for p in pairs]
 
-    fit_full = fit_dpo(ref_sub, feats_sub, local_pairs, pcfg.beta,
+    fit_full = fit_dpo(ref_sub, feats_sub, local_pairs, cfg.beta,
                        lam=cfg.dpo_lam, floor=cfg.pi_min)
     half = local_pairs[: math.ceil(len(local_pairs) / 2)]
-    fit_half = fit_dpo(ref_sub, feats_sub, half, pcfg.beta,
+    fit_half = fit_dpo(ref_sub, feats_sub, half, cfg.beta,
                        lam=cfg.dpo_lam, floor=cfg.pi_min)
 
     # fresh gate subset from this phase's own steps
     population = cfg.phase_length
-    take = min(pcfg.gate_size, population)
+    take = min(cfg.gate_size, population)
     gate_ids = phase_start + rng_gate.choice(population, size=take, replace=False)
     gate_feats = feats_all[gate_ids]
     scorer = theta_true if cfg.true_theta_scores else theta_hat
     u_rows = np.einsum("nkd,d->nk", gate_feats, scorer)
 
     tilts = [
-        g_ref + fit_full.tilt / pcfg.beta,
-        g_ref + fit_half.tilt / pcfg.beta,
+        g_ref + fit_full.tilt / cfg.beta,
+        g_ref + fit_half.tilt / cfg.beta,
         g_ref,
     ]
     cand_rows = [
@@ -510,14 +449,14 @@ def _run_phase(
         for g in tilts
     ]
     ref_rows = cand_rows[2]
-    best, _ = propose_reference(cand_rows, ref_rows, u_rows, pcfg.beta_ref)
+    best, _ = propose_reference(cand_rows, ref_rows, u_rows, cfg.beta_ref)
     delta_s = inspector_score(cand_rows[best], u_rows) - inspector_score(
         ref_rows, u_rows
     )
     kl_hat = gate_kl_estimate(cand_rows[best], ref_rows)
 
-    passes = gate(delta_s, kl_hat, pcfg)
-    accepted = bool(passes and evolving and not force_reject)
+    passes = gate(delta_s, kl_hat, cfg)
+    accepted = bool(passes and evolving)
     if not evolving:
         decision = "inert"
     else:
@@ -539,9 +478,9 @@ def _run_phase(
         chosen=CANDIDATE_LABELS[best],
         ref_version_before=ref_version,
         ref_version_after=new_version,
-        beta=pcfg.beta,
-        eps_s=pcfg.eps_s,
-        delta_H=pcfg.delta_H,
+        beta=cfg.beta,
+        eps_s=cfg.eps_s,
+        delta_H=cfg.delta_H,
         gate_size=take,
     )
     return report, new_ref, new_version

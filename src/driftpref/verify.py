@@ -99,8 +99,8 @@ def check_kl_bound(
         beta = rng.uniform(0.1, 2.0)
         ref = rng.dirichlet(np.ones(K))
         ref = (1.0 - K * 1e-6) * ref + 1e-6  # keep the reference full-support
-        p = gibbs(ref, feats.table @ theta, beta, floor=0.0)
-        q = gibbs(ref, feats.table @ theta_hat, beta, floor=0.0)
+        p = gibbs(ref, feats @ theta, beta, floor=0.0)
+        q = gibbs(ref, feats @ theta_hat, beta, floor=0.0)
         lhs = kl(p, q)
         diff = float(np.linalg.norm(theta - theta_hat))
         rhs = diff * diff / (2.0 * beta * beta)
@@ -150,13 +150,13 @@ def check_switching_budget(
         feats = make_features(K, d, rng)
         drift = spread_drift_limits(base, horizon, d)
         path = generate_path(horizon, d, drift, rng)
-        gamma = min_margin(path.thetas, feats.table)
+        gamma = min_margin(path.thetas, feats)
         if gamma < gamma_floor:
             excluded += 1
             continue
         checked += 1
         gammas.append(gamma)
-        switches = float(switch_flags(path.thetas, feats.table).sum())
+        switches = float(switch_flags(path.thetas, feats).sum())
         rhs = 2.0 * 1.0 * path.tv_used / gamma
         if rhs > 0.0:
             max_ratio = max(max_ratio, switches / rhs)
@@ -359,7 +359,7 @@ def check_estimation_error(
     c_values = []
     for run in range(runs):
         rng = np.random.default_rng([seed, _T_EST, run])
-        feats = make_features(K, d, rng).table
+        feats = make_features(K, d, rng)
         drift = spread_drift_limits(base, horizon, d)
         path = generate_path(horizon, d, drift, rng)
         first = rng.integers(0, K, size=horizon)

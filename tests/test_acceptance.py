@@ -17,7 +17,7 @@ from driftpref.estimator import WindowBuffer, fit_logistic_window
 from driftpref.islands import run_island_search, run_reward_bandit
 from driftpref.numerics import sigmoid
 from driftpref.policies import softmax_rows
-from driftpref.prefloop import PhaseConfig, PreferencePair, fit_dpo, gate
+from driftpref.prefloop import PreferencePair, fit_dpo, gate
 from driftpref.verify import (
     check_estimation_error,
     check_frozen_bias,
@@ -117,7 +117,7 @@ def test_criterion_05_estimation_error_envelope():
 
 def test_criterion_06_promotion_gate_truth_table():
     start = time.perf_counter()
-    cfg = PhaseConfig()
+    cfg = RunConfig()
     cases_ok = (
         gate(0.001, 0.001, cfg) is True        # improves and stays close
         and gate(0.0, 0.001, cfg) is False     # too little improvement

@@ -20,7 +20,7 @@ from driftpref.cli import (
     write_text,
 )
 from driftpref.config import RunConfig
-from driftpref.errors import ConfigError, ContractError
+from driftpref.errors import ConfigError, ContractError, ConvergenceError
 from driftpref.prefloop import PhaseReport
 from driftpref.regret import RegretLedger
 
@@ -367,6 +367,24 @@ class TestMainWiring:
         assert main(["run", "--config", str(cfg), "--mode", "nonsense",
                      "--out", str(tmp_path)]) == 2
         assert "mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patched, argv, where", [
+        ("run_preference_loop", ["run", "--mode", "fixed-ref", "--seeds", "4,7"],
+         "fixed-ref seed 4"),
+        ("run_standard_checks", ["verify", "--mode", "verify", "--seed", "3"],
+         "verify seed 3"),
+    ], ids=["run", "verify"])
+    def test_solver_failure_exits_three(self, tmp_path, capsys, monkeypatch,
+                                        patched, argv, where):
+        def fail(cfg, seed):
+            raise ConvergenceError("window logistic fit did not converge",
+                                   np.zeros(2), 0.25)
+
+        monkeypatch.setattr(f"driftpref.cli.{patched}", fail)
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {where}: window logistic fit did not converge "
+            "(residual grad norm 2.500e-01)\n")
 
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -1,22 +1,18 @@
-"""Drift process, contexts, and feedback sampling."""
+"""Drift process, contexts, and reward sampling."""
 
 import numpy as np
 import pytest
 
 from driftpref.env import (
     DriftConfig,
-    FeatureSet,
-    PreferenceLabel,
     advance_theta,
     generate_path,
     make_features,
-    sample_preference,
-    sample_reward,
     spread_drift_limits,
-    utility,
 )
+from driftpref.config import RunConfig
 from driftpref.errors import ConfigError, ContractError
-from driftpref.numerics import sigmoid
+from driftpref.islands import StrategyCandidate, run_reward_episode
 
 
 def unit(rng, d):
@@ -144,28 +140,17 @@ class TestGeneratePath:
         assert a.tv_used == b.tv_used
 
 
-class TestFeatureSet:
-    def test_norm_bound_enforced(self):
-        with pytest.raises(ContractError):
-            FeatureSet(table=np.array([[2.0, 0.0], [0.0, 1.0]]), phi_max=1.0)
-
-    def test_must_be_2d(self):
-        with pytest.raises(ContractError):
-            FeatureSet(table=np.array([1.0, 0.0]))
-
-
 class TestMakeFeatures:
     def test_shape_and_unit_rows(self):
         rng = np.random.default_rng(7)
         feats = make_features(5, 5, rng)
-        assert feats.table.shape == (5, 5)
-        assert np.allclose(np.linalg.norm(feats.table, axis=1), 1.0, atol=1e-12)
-        assert feats.phi_max == 1.0
+        assert feats.shape == (5, 5)
+        assert np.allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
 
     def test_dim_one_rows_are_signs(self):
         rng = np.random.default_rng(8)
         feats = make_features(4, 1, rng)
-        assert np.all(np.isin(feats.table, (-1.0, 1.0)))
+        assert np.all(np.isin(feats, (-1.0, 1.0)))
 
     def test_too_few_actions(self):
         with pytest.raises(ConfigError):
@@ -178,88 +163,31 @@ class TestMakeFeatures:
     def test_deterministic(self):
         a = make_features(6, 4, np.random.default_rng(9))
         b = make_features(6, 4, np.random.default_rng(9))
-        assert np.array_equal(a.table, b.table)
-
-
-class TestUtility:
-    def test_aligned_row(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert utility(e1, e1) == 1.0
-
-    def test_orthogonal_row(self):
-        assert utility(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_table_matches_rowwise_dot(self):
-        rng = np.random.default_rng(10)
-        theta = unit(rng, 5)
-        table = make_features(7, 5, rng).table
-        out = utility(theta, table)
-        oracle = np.array([float(np.dot(theta, row)) for row in table])
-        assert np.allclose(out, oracle, atol=1e-12)
-
-
-class TestSamplePreference:
-    def test_equal_utilities_give_half(self):
-        rng = np.random.default_rng(11)
-        theta = np.array([1.0, 0.0])
-        phi = np.array([0.0, 1.0])
-        label = sample_preference(theta, phi, phi, rng)
-        assert label.probability_used == 0.5
-
-    def test_probability_matches_sigmoid_of_gap(self):
-        rng = np.random.default_rng(12)
-        theta = unit(rng, 4)
-        a, b = unit(rng, 4), unit(rng, 4)
-        label = sample_preference(theta, a, b, rng)
-        gap = float(theta @ a - theta @ b)
-        assert abs(label.probability_used - sigmoid(gap)) < 1e-12
-
-    def test_symmetry_of_swapped_arguments(self):
-        rng = np.random.default_rng(13)
-        theta = unit(rng, 3)
-        a, b = unit(rng, 3), unit(rng, 3)
-        p_ab = sample_preference(theta, a, b, rng).probability_used
-        p_ba = sample_preference(theta, b, a, rng).probability_used
-        assert abs(p_ab + p_ba - 1.0) < 1e-12
-
-    def test_empirical_rate_matches_probability(self):
-        rng = np.random.default_rng(14)
-        theta = np.array([1.0, 0.0])
-        a = np.array([1.0, 0.0])
-        b = np.array([0.0, 1.0])
-        n = 100_000
-        wins = sum(
-            sample_preference(theta, a, b, rng).winner_is_first for _ in range(n)
-        )
-        p = sigmoid(1.0)
-        se = np.sqrt(p * (1 - p) / n)
-        assert abs(wins / n - p) < 4 * se
-
-    def test_label_validation(self):
-        with pytest.raises(ContractError):
-            PreferenceLabel(winner_is_first=True, probability_used=1.0)
+        assert np.array_equal(a, b)
 
 
 class TestSampleReward:
+    """Rewards are drawn inline by the reward bandit: utility plus scaled Gaussian noise."""
+
+    def episode(self, noise_scale, noise_seed):
+        path = generate_path(80, 3, DriftConfig(delta_min=0.2, delta_max=1.0),
+                             np.random.default_rng(0))
+        return run_reward_episode(
+            StrategyCandidate(10, 0.1, 0.5), 4, 3, 80, path, noise_scale,
+            np.random.default_rng(1), np.random.default_rng(noise_seed),
+        )
+
     def test_zero_noise_equals_utility(self):
-        rng = np.random.default_rng(15)
-        theta = unit(rng, 4)
-        phi = unit(rng, 4)
-        r = sample_reward(theta, phi, rng, noise_scale=0.0)
-        assert r == float(theta @ phi)
+        # With zero noise the reward is the utility, so the noise stream cannot
+        # change what the learner sees or which arms it plays.
+        a, b = self.episode(0.0, 2), self.episode(0.0, 3)
+        assert np.array_equal(a.expected_chosen, b.expected_chosen)
+        noisy_a, noisy_b = self.episode(1.0, 2), self.episode(1.0, 3)
+        assert not np.array_equal(noisy_a.expected_chosen, noisy_b.expected_chosen)
 
     def test_negative_noise_scale_rejected(self):
-        rng = np.random.default_rng(16)
         with pytest.raises(ConfigError):
-            sample_reward(np.array([1.0]), np.array([1.0]), rng, noise_scale=-1.0)
-
-    def test_mean_and_variance(self):
-        rng = np.random.default_rng(17)
-        theta = np.array([1.0, 0.0])
-        phi = np.array([0.0, 1.0])  # utility 0, so samples are pure noise
-        draws = np.array([sample_reward(theta, phi, rng) for _ in range(100_000)])
-        assert abs(draws.mean()) < 4 / np.sqrt(len(draws))
-        assert abs(draws.var() - 1.0) < 0.05
+            RunConfig(mode="reward-bandit", noise_scale=-1.0)
 
 
 class TestSpreadDriftLimits:

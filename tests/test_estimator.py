@@ -1,18 +1,17 @@
-"""Sliding-window preference and reward estimation."""
+"""Sliding-window preference estimation and its error envelope."""
 
 import math
 
 import numpy as np
 import pytest
 
+from driftpref.config import RunConfig
 from driftpref.errors import ConfigError, ContractError, ConvergenceError
 from driftpref.estimator import (
     WindowBuffer,
     estimation_error_rhs,
     fit_logistic_window,
     min_curvature_constant,
-    ridge_fit,
-    window_covariance,
     window_size,
 )
 from driftpref.numerics import sigmoid, softplus
@@ -112,30 +111,32 @@ class TestWindowSize:
 
 
 class TestWindowCovariance:
+    """The regularized Gram matrix A and its lambda_min, as the window fit reports."""
+
     def test_empty_buffer_is_lam_identity(self):
         buf = WindowBuffer(capacity=4, dim=3)
-        A, lam_min = window_covariance(buf, lam=0.7)
-        assert np.array_equal(A, 0.7 * np.eye(3))
-        assert abs(lam_min - 0.7) < 1e-12
+        est = fit_logistic_window(buf, lam=0.7)
+        assert np.array_equal(est.A, 0.7 * np.eye(3))
+        assert abs(est.lambda_min - 0.7) < 1e-12
 
     def test_single_axis_entry(self):
         buf = WindowBuffer(capacity=4, dim=3)
         buf.push(np.array([1.0, 0.0, 0.0]), 1.0)
-        A, lam_min = window_covariance(buf, lam=1.0)
-        assert np.array_equal(A, np.diag([2.0, 1.0, 1.0]))
-        assert abs(lam_min - 1.0) < 1e-12
+        est = fit_logistic_window(buf, lam=1.0)
+        assert np.array_equal(est.A, np.diag([2.0, 1.0, 1.0]))
+        assert abs(est.lambda_min - 1.0) < 1e-12
 
     def test_lambda_min_matches_bisection_oracle(self):
         rng = np.random.default_rng(20)
         buf = WindowBuffer(capacity=50, dim=5)
         for _ in range(50):
             buf.push(unit(rng, 5), float(rng.random() < 0.5))
-        A, lam_min = window_covariance(buf, lam=0.3)
-        assert abs(lam_min - min_eig_bisect(A)) < 1e-8
+        est = fit_logistic_window(buf, lam=0.3)
+        assert abs(est.lambda_min - min_eig_bisect(est.A)) < 1e-8
 
     def test_bad_lam(self):
         with pytest.raises(ConfigError):
-            window_covariance(WindowBuffer(capacity=2, dim=2), lam=0.0)
+            fit_logistic_window(WindowBuffer(capacity=2, dim=2), lam=0.0)
 
 
 class TestFitLogisticWindow:
@@ -208,47 +209,11 @@ class TestFitLogisticWindow:
 
 
 class TestRidgeFit:
-    def test_empty_buffer_gives_zero(self):
-        est = ridge_fit(WindowBuffer(capacity=3, dim=2), lam=1.0)
-        assert np.array_equal(est.theta_hat, np.zeros(2))
-        assert est.converged
-
-    def test_single_axis_entry_hand_solution(self):
-        # A = diag(2, 1), b = (2, 0) => theta = e1
-        buf = WindowBuffer(capacity=3, dim=2)
-        buf.push(np.array([1.0, 0.0]), 2.0)
-        est = ridge_fit(buf, lam=1.0)
-        assert np.allclose(est.theta_hat, np.array([1.0, 0.0]), atol=1e-12)
-
-    def test_recovers_noiseless_parameter_at_tiny_lam(self):
-        rng = np.random.default_rng(26)
-        theta_star = unit(rng, 4)
-        buf = WindowBuffer(capacity=100, dim=4)
-        for _ in range(100):
-            phi = unit(rng, 4)
-            buf.push(phi, float(phi @ theta_star))
-        est = ridge_fit(buf, lam=1e-8)
-        assert np.linalg.norm(est.theta_hat - theta_star) < 1e-4
-
-    def test_matches_augmented_lstsq_oracle(self):
-        rng = np.random.default_rng(27)
-        buf = WindowBuffer(capacity=40, dim=3)
-        X = np.empty((40, 3))
-        y = np.empty(40)
-        for i in range(40):
-            X[i] = unit(rng, 3)
-            y[i] = float(rng.standard_normal())
-            buf.push(X[i], y[i])
-        lam = 0.4
-        est = ridge_fit(buf, lam=lam)
-        aug_X = np.vstack([X, np.sqrt(lam) * np.eye(3)])
-        aug_y = np.concatenate([y, np.zeros(3)])
-        oracle = np.linalg.lstsq(aug_X, aug_y, rcond=None)[0]
-        assert np.linalg.norm(est.theta_hat - oracle) < 1e-10
+    """The reward bandit solves its windowed ridge fit inline; its weight is checked up front."""
 
     def test_bad_lam(self):
         with pytest.raises(ConfigError):
-            ridge_fit(WindowBuffer(capacity=2, dim=2), lam=0.0)
+            RunConfig(mode="reward-bandit", lambda_reg=0.0)
 
 
 class TestErrorBoundArithmetic:

@@ -1,0 +1,63 @@
+"""Committed SHA-256 digests of every file the run and verify paths emit.
+
+Reruns of one version are byte-identical (see test_cli); these digests pin
+the bytes across versions. A change that alters a digest on purpose must
+say why and record the new digests:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from driftpref.cli import execute_run
+from driftpref.config import RunConfig
+
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+
+# delta_H = 0.1 makes the evolving arm accept some phases and reject others.
+_PREF = RunConfig(H=200, drift_spread=True, fixed_context=True, delta_H=0.1,
+                  seeds=(0, 1))
+
+# Small configs covering what the benchmark workloads do not: spread drift
+# with a shared context, the bandit's spread branch, an atlas run whose
+# phases are all skipped, and verify with a trial override.
+CASES = {
+    "evodpo": replace(_PREF, mode="evodpo"),
+    "fixed-ref": replace(_PREF, mode="fixed-ref"),
+    "reward-bandit": RunConfig(mode="reward-bandit", H=500, drift_spread=True,
+                               seeds=(0, 1)),
+    "atlas": RunConfig(mode="atlas", rounds=4, islands=1, proposals_per_island=1,
+                       phase_length=1, seeds=(0,)),
+    "verify": RunConfig(mode="verify", trials=50, seeds=(0,)),
+}
+
+
+def emitted_digests(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
+    """Run one case and return {file name: SHA-256} for what it wrote."""
+    assert execute_run(cfg, out_dir) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_emitted_bytes_match_golden_digests(case, tmp_path):
+    expected = json.loads(DIGESTS.read_text())[case]
+    assert emitted_digests(CASES[case], tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    record = {}
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            record[name] = emitted_digests(CASES[name], Path(tmp))
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(record, indent=2) + "\n")
+    sys.stdout.write(f"wrote {DIGESTS}\n")

@@ -1,13 +1,14 @@
 """Strategy search islands, pairing, and the reward bandit."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from driftpref.config import RunConfig
-from driftpref.env import DriftConfig
-from driftpref.errors import ConfigError
+from driftpref.env import DriftConfig, generate_path
+from driftpref.errors import ConfigError, ContractError
 from driftpref.islands import (
     IslandState,
     StrategyCandidate,
@@ -22,9 +23,7 @@ from driftpref.islands import (
     run_reward_bandit,
     run_reward_episode,
     strategist_rules,
-    sw_linucb_select,
 )
-from driftpref.prefloop import PhaseConfig
 from driftpref.regret import nmr
 
 
@@ -59,48 +58,29 @@ class TestAnchorPanel:
         assert {a.window_size for a in anchors} == {8, 20, 50, 200}
 
 
-class TestSwLinucbSelect:
-    def test_greedy_follows_estimate(self):
-        feats = np.eye(2)
-        theta_hat = np.array([1.0, 0.0])
-        A = np.eye(2)
-        assert sw_linucb_select(feats, theta_hat, A, alpha=0.0) == 0
-
-    def test_symmetric_empty_history_ties_to_lowest(self):
-        feats = np.eye(3)
-        assert sw_linucb_select(feats, np.zeros(3), 0.5 * np.eye(3), alpha=1.0) == 0
-
-    def test_width_bonus_prefers_unexplored_direction(self):
-        feats = np.eye(2)
-        A = np.diag([1.0, 100.0])  # second direction already well covered
-        assert sw_linucb_select(feats, np.zeros(2), A, alpha=1.0) == 0
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ConfigError):
-            sw_linucb_select(np.eye(2), np.zeros(2), np.eye(2), alpha=-1.0)
-
-
 class TestRunRewardEpisode:
     def make(self, cand, seed, horizon=80, K=4, d=3):
         drift = DriftConfig(delta_min=0.2, delta_max=1.0, tv_budget=1e9)
+        path = generate_path(horizon, d, drift, np.random.default_rng([seed, 0]))
         return run_reward_episode(
-            cand, K, d, horizon, drift, 1.0,
-            np.random.default_rng([seed, 0]),
+            cand, K, d, horizon, path, 1.0,
             np.random.default_rng([seed, 1]),
             np.random.default_rng([seed, 2]),
         )
 
     def test_validation(self):
         cand = StrategyCandidate(10, 0.1, 0.5)
-        drift = DriftConfig()
+        path = generate_path(10, 3, DriftConfig(), np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            run_reward_episode(cand, 0, 3, 10, drift, 1.0,
-                               np.random.default_rng(0),
+            run_reward_episode(cand, 0, 3, 10, path, 1.0,
                                np.random.default_rng(1),
                                np.random.default_rng(2))
         with pytest.raises(ConfigError):
-            run_reward_episode(cand, 3, 3, 0, drift, 1.0,
-                               np.random.default_rng(0),
+            run_reward_episode(cand, 3, 3, 0, path, 1.0,
+                               np.random.default_rng(1),
+                               np.random.default_rng(2))
+        with pytest.raises(ContractError):
+            run_reward_episode(cand, 3, 3, 9, path, 1.0,
                                np.random.default_rng(1),
                                np.random.default_rng(2))
 
@@ -117,6 +97,52 @@ class TestRunRewardEpisode:
         b = self.make(cand, seed=1)
         assert np.array_equal(a.expected_chosen, b.expected_chosen)
         assert a.nmr == b.nmr
+
+
+class TestSwLinucbSelect:
+    """Arm selection inside run_reward_episode: windowed ridge estimate plus width bonus."""
+
+    K, d, horizon = 4, 3, 60
+
+    def path(self, seed):
+        return generate_path(self.horizon, self.d, DriftConfig(mode="frozen"),
+                             np.random.default_rng([seed, 0]))
+
+    def run(self, cand, seed, noise_scale=1.0):
+        return run_reward_episode(
+            cand, self.K, self.d, self.horizon, self.path(seed), noise_scale,
+            np.random.default_rng([seed, 1]),
+            np.random.default_rng([seed, 2]),
+        )
+
+    def utilities(self, seed):
+        # Rebuild the episode's contexts from the same stream, one row at a time.
+        path = self.path(seed)
+        feats = np.random.default_rng([seed, 1]).standard_normal(
+            (self.horizon, self.K, self.d))
+        feats /= np.linalg.norm(feats, axis=2, keepdims=True)
+        return np.array([feats[t] @ path.thetas[t] for t in range(self.horizon)])
+
+    def test_greedy_follows_estimate(self):
+        # Noiseless rewards and a frozen parameter: once the window spans the
+        # space, the ridge estimate is the parameter and greedy play is optimal.
+        for seed in range(5):
+            res = self.run(StrategyCandidate(self.horizon, 1e-6, 0.0), seed,
+                           noise_scale=0.0)
+            assert np.array_equal(res.expected_chosen[10:], res.expected_best[10:])
+
+    def test_symmetric_empty_history_ties_to_lowest(self):
+        # Empty window: the estimate is zero, every greedy score ties, arm 0 wins.
+        for seed in range(5):
+            u = self.utilities(seed)
+            res = self.run(StrategyCandidate(10, 0.5, 0.0), seed)
+            assert res.expected_chosen[0] == u[0, 0]
+            assert np.array_equal(res.expected_best, u.max(axis=1))
+            assert np.array_equal(res.oracle_arm, np.argmax(u, axis=1))
+
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(ConfigError):
+            RunConfig(mode="reward-bandit", ucb_alpha=-1.0)
 
 
 class TestEpisodeScorer:
@@ -267,34 +293,34 @@ class TestBuildPairsTopS:
 
 class TestStrategistRules:
     def test_empty_history_unchanged(self):
-        cfg = PhaseConfig(beta=0.6)
+        cfg = RunConfig(beta=0.6)
         out = strategist_rules(Telemetry(), cfg)
         assert out.beta == 0.6
         assert out.pass_quantile == cfg.pass_quantile
 
     def test_two_rejects_soften_and_tighten(self):
-        cfg = PhaseConfig(beta=0.6, pass_quantile=0.5)
+        cfg = RunConfig(beta=0.6, pass_quantile=0.5)
         out = strategist_rules(Telemetry(decisions=["reject", "reject"]), cfg)
         assert abs(out.beta - 0.48) < 1e-12
         assert abs(out.pass_quantile - 0.6) < 1e-12
 
     def test_mixed_history_unchanged(self):
-        cfg = PhaseConfig(beta=0.6)
+        cfg = RunConfig(beta=0.6)
         out = strategist_rules(Telemetry(decisions=["reject", "accept"]), cfg)
         assert out.beta == 0.6
 
     def test_beta_floor(self):
-        cfg = PhaseConfig(beta=0.11)
+        cfg = RunConfig(beta=0.11)
         out = strategist_rules(Telemetry(decisions=["reject", "reject"]), cfg)
         assert out.beta == 0.1
 
     def test_beta_clamped_into_range(self):
-        cfg = PhaseConfig(beta=6.0)
+        cfg = RunConfig(beta=6.0)
         out = strategist_rules(Telemetry(decisions=["accept"]), cfg)
         assert out.beta == 5.0
 
     def test_quantile_cap(self):
-        cfg = PhaseConfig(beta=1.0, pass_quantile=0.85)
+        cfg = RunConfig(beta=1.0, pass_quantile=0.85)
         out = strategist_rules(Telemetry(decisions=["reject", "reject"]), cfg)
         assert abs(out.pass_quantile - 0.9) < 1e-12
 
@@ -362,6 +388,23 @@ class TestRunIslandSearch:
             assert res.accept_rate() == res.accepted_phases / res.gated_phases
         else:
             assert res.accept_rate() is None
+
+    def test_routing_policy_follows_phase_fits_the_gate_rejects(self):
+        base = RunConfig(mode="atlas", rounds=8, islands=3, proposals_per_island=2,
+                         eval_horizon=50, eval_episodes=1)
+        rejected = run_island_search(replace(base, phase_length=2, eps_s=1e9), seed=0)
+        unphased = run_island_search(replace(base, phase_length=9), seed=0)
+        assert rejected.gated_phases == 4 and rejected.accepted_phases == 0
+        assert rejected.ref_version == 0 and not unphased.phases
+
+        def anchors(res, rounds):
+            return [e.anchor for e in res.entries if e.round in rounds]
+
+        # the first phase fit lands after round 2; from round 3 on, the
+        # proposals differ although no gate passed, so the fit moved routing
+        assert anchors(rejected, (1, 2)) == anchors(unphased, (1, 2))
+        later = range(3, 9)
+        assert anchors(rejected, later) != anchors(unphased, later)
 
 
 class TestRunRewardBandit:

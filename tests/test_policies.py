@@ -1,4 +1,4 @@
-"""Categorical policies, Gibbs tilts, and divergence accounting."""
+"""Support floors, Gibbs tilts, and divergence accounting."""
 
 import math
 
@@ -7,8 +7,6 @@ import pytest
 
 from driftpref.errors import ConfigError, ContractError
 from driftpref.policies import (
-    CategoricalPolicy,
-    GateSubset,
     apply_floor,
     gate_kl_estimate,
     gibbs,
@@ -16,7 +14,6 @@ from driftpref.policies import (
     kl,
     kl_rows,
     softmax_rows,
-    value,
 )
 
 
@@ -49,27 +46,6 @@ class TestApplyFloor:
             apply_floor(np.array([0.5, 0.5]), -1e-3)
         with pytest.raises(ConfigError):
             apply_floor(np.array([0.5, 0.5]), 0.5)
-
-
-class TestCategoricalPolicy:
-    def test_row_promoted_to_table(self):
-        pol = CategoricalPolicy(np.array([0.25, 0.75]))
-        assert pol.table.shape == (1, 2)
-        assert pol.n_contexts == 1
-        assert pol.n_actions == 2
-
-    def test_floor_applied(self):
-        pol = CategoricalPolicy(np.array([1.0, 0.0]), support_floor=1e-9)
-        assert pol.row(0).min() >= 1e-9
-        assert abs(pol.row(0).sum() - 1.0) < 1e-12
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ContractError):
-            CategoricalPolicy(np.array([1.2, -0.2]))
-
-    def test_bad_row_sum_rejected(self):
-        with pytest.raises(ContractError):
-            CategoricalPolicy(np.array([0.5, 0.4]))
 
 
 class TestGibbs:
@@ -118,10 +94,10 @@ class TestGibbs:
             u = rng.normal(size=k)
             beta = float(rng.uniform(0.3, 2.0))
             star = gibbs(ref, u, beta, floor=0.0)
-            best = value(star, u) - beta * kl(star, ref)
+            best = star @ u - beta * kl(star, ref)
             mix = float(rng.uniform(0.05, 0.95))
             other = (1.0 - mix) * star + mix * random_row(rng, k)
-            assert value(other, u) - beta * kl(other, ref) <= best + 1e-10
+            assert other @ u - beta * kl(other, ref) <= best + 1e-10
 
     def test_bad_beta(self):
         with pytest.raises(ConfigError):
@@ -220,49 +196,6 @@ class TestKlPerturbationBound:
         assert violations == 0
 
 
-class TestValue:
-    def test_point_mass_picks_entry(self):
-        assert value(np.array([1.0, 0.0]), np.array([3.0, -1.0])) == 3.0
-
-    def test_uniform_average(self):
-        assert value(np.array([0.5, 0.5]), np.array([1.0, 3.0])) == 2.0
-
-    def test_matches_naive_sum(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            k = int(rng.integers(2, 9))
-            pi = random_row(rng, k)
-            u = rng.normal(size=k)
-            naive = sum(float(pi[i]) * float(u[i]) for i in range(k))
-            assert abs(value(pi, u) - naive) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractError):
-            value(np.array([1.0]), np.array([1.0, 2.0]))
-
-
-class TestGateSubset:
-    def test_unique_ids_enforced(self):
-        with pytest.raises(ContractError):
-            GateSubset(ids=np.array([1, 1, 2]))
-
-    def test_sample_without_replacement(self):
-        rng = np.random.default_rng(13)
-        sub = GateSubset.sample(population=100, size=32, rng=rng)
-        assert sub.size == 32
-        assert len(np.unique(sub.ids)) == 32
-        assert sub.ids.min() >= 0 and sub.ids.max() < 100
-
-    def test_size_clamped_to_population(self):
-        rng = np.random.default_rng(14)
-        sub = GateSubset.sample(population=5, size=32, rng=rng)
-        assert sub.size == 5
-
-    def test_empty_population_rejected(self):
-        with pytest.raises(ContractError):
-            GateSubset.sample(population=0, size=4, rng=np.random.default_rng(0))
-
-
 class TestGateKlEstimate:
     def test_single_context_equals_kl(self):
         rng = np.random.default_rng(15)
@@ -283,7 +216,8 @@ class TestInspectorScore:
         rng = np.random.default_rng(17)
         pi = np.stack([random_row(rng, 4) for _ in range(20)])
         u = rng.normal(size=(20, 4))
-        oracle = np.mean([value(pi[i], u[i]) for i in range(20)])
+        oracle = np.mean([sum(float(pi[i, k]) * float(u[i, k]) for k in range(4))
+                          for i in range(20)])
         assert abs(inspector_score(pi, u) - oracle) < 1e-12
 
     def test_point_mass_on_best_arm_attains_max(self):

@@ -11,12 +11,10 @@ from driftpref.errors import ConfigError, ContractError
 from driftpref.numerics import sigmoid, softplus
 from driftpref.policies import gate_kl_estimate, inspector_score, softmax_rows
 from driftpref.prefloop import (
-    PhaseConfig,
     PreferencePair,
     dpo_loss,
     fit_dpo,
     gate,
-    phase_config_from_run,
     propose_reference,
     run_preference_loop,
     sample_categorical,
@@ -47,35 +45,28 @@ class TestPreferencePair:
         with pytest.raises(ContractError):
             PreferencePair(context_id=0, winner=1, loser=1)
 
-    def test_meta_ignored_in_equality(self):
-        a = PreferencePair(0, 1, 0, meta={"phase": 1})
-        b = PreferencePair(0, 1, 0, meta={"phase": 2})
-        assert a == b
-
 
 class TestPhaseConfig:
+    """The phase and gate settings that the loops read from RunConfig."""
+
     def test_defaults(self):
-        cfg = PhaseConfig()
+        cfg = RunConfig()
         assert cfg.eps_s == 0.0007
         assert cfg.delta_H == 0.002
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            PhaseConfig(beta=0.0)
+            RunConfig(beta=0.0)
         with pytest.raises(ConfigError):
-            PhaseConfig(eps_s=-1e-6)
+            RunConfig(beta_ref=0.0)
         with pytest.raises(ConfigError):
-            PhaseConfig(phase_length=0)
+            RunConfig(eps_s=-1e-6)
         with pytest.raises(ConfigError):
-            PhaseConfig(pass_quantile=1.0)
-
-    def test_from_run_config(self):
-        run = RunConfig(beta=0.9, eps_s=0.01, delta_H=0.5, gate_size=8)
-        pcfg = phase_config_from_run(run)
-        assert pcfg.beta == 0.9
-        assert pcfg.eps_s == 0.01
-        assert pcfg.delta_H == 0.5
-        assert pcfg.gate_size == 8
+            RunConfig(phase_length=0)
+        with pytest.raises(ConfigError):
+            RunConfig(gate_size=0)
+        with pytest.raises(ConfigError):
+            RunConfig(pass_quantile=1.0)
 
 
 class TestDpoLoss:
@@ -307,18 +298,18 @@ class TestProposeReference:
 
 class TestGate:
     def test_truth_table_at_default_thresholds(self):
-        cfg = PhaseConfig()  # eps_s = 0.0007, delta_H = 0.002
+        cfg = RunConfig()  # eps_s = 0.0007, delta_H = 0.002
         assert gate(0.001, 0.001, cfg) is True
         assert gate(0.0, 0.001, cfg) is False  # no improvement
         assert gate(0.01, 0.003, cfg) is False  # KL over budget
         assert gate(0.0, 0.01, cfg) is False  # fails both
 
     def test_boundaries_inclusive(self):
-        cfg = PhaseConfig()
+        cfg = RunConfig()
         assert gate(cfg.eps_s, cfg.delta_H, cfg) is True
 
     def test_zero_epsilon_accepts_no_improvement(self):
-        cfg = PhaseConfig(eps_s=0.0, delta_H=1e9)
+        cfg = RunConfig(eps_s=0.0, delta_H=1e9)
         assert gate(0.0, 123.0, cfg) is True
 
 
@@ -400,9 +391,9 @@ class TestRunPreferenceLoop:
         assert np.array_equal(res.ref_tilt, np.zeros(5))
 
     def test_force_reject_reproduces_fixed_reference_exactly(self):
-        cfg = small_cfg()
-        forced = run_preference_loop(cfg, seed=2, evolving=True, force_reject=True)
-        fixed = run_preference_loop(cfg, seed=2, evolving=False)
+        # no phase can clear eps_s = 1e9, so every evolving decision rejects
+        forced = run_preference_loop(small_cfg(eps_s=1e9), seed=2, evolving=True)
+        fixed = run_preference_loop(small_cfg(), seed=2, evolving=False)
         for col in ("bias", "error", "regret_step", "regret_cum", "oracle_arm",
                     "switch"):
             assert np.array_equal(
