@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -249,10 +250,10 @@ def execute_verify(cfg: RunConfig, out_dir: Path) -> int:
     except ConvergenceError as exc:
         exc.seed = seed
         raise
-    payload = {"checks": [r.to_dict() for r in reports]}
+    payload = {"checks": [asdict(r) for r in reports]}
     if cfg.scaling:
-        payload["regret_scaling"] = check_regret_scaling().to_dict()
-        payload["frozen_bias"] = check_frozen_bias().to_dict()
+        payload["regret_scaling"] = asdict(check_regret_scaling())
+        payload["frozen_bias"] = asdict(check_frozen_bias())
     write_text(out_dir / "verify_reports.json", dump_json(payload) + "\n")
 
     lines = [",".join(("check", "trials", "violations", "excluded", "max_ratio",

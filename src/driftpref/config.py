@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -116,23 +116,6 @@ class RunConfig:
             raise ConfigError("seeds must be nonempty")
 
 
-_BOOL_KEYS = {"drift_spread", "fixed_context", "true_theta_scores", "scaling"}
-_INT_KEYS = {
-    "K", "d", "H", "phase_length", "gate_size", "dataset_phases", "max_phases",
-    "window_size", "rounds", "islands", "proposals_per_island", "top_s",
-    "eval_horizon", "eval_episodes", "trials", "drift_spread_h", "warm_pairs",
-}
-_FLOAT_KEYS = {
-    "delta_min", "delta_max", "V_T", "noise_scale", "kappa", "lam", "dpo_lam",
-    "pi_min", "warm_scale",
-    "beta", "beta_ref", "eps_s", "delta_H", "lambda_reg", "ucb_alpha",
-    "pass_quantile",
-}
-_STR_KEYS = {"mode", "drift_mode"}
-
-KNOWN_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"seeds"}
-
-
 def parse_seeds(text: str) -> tuple[int, ...]:
     """Parse '0..4', '3', or '0,2,5' into a seed tuple."""
     text = text.strip()
@@ -156,6 +139,12 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+# Each config-file key's parser, from its RunConfig annotation.
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str,
+            "tuple[int, ...]": parse_seeds}
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
+
+
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse key = value lines ('#' starts a comment) into a RunConfig.
 
@@ -172,21 +161,12 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not raw_value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
         try:
-            if key == "seeds":
-                values[key] = parse_seeds(raw_value)
-            elif key in _BOOL_KEYS:
-                values[key] = _parse_bool(raw_value)
-            elif key in _INT_KEYS:
-                values[key] = int(raw_value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw_value)
-            else:
-                values[key] = raw_value
+            values[key] = _KEY_PARSERS[key](raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     base_cfg = base if base is not None else RunConfig()

@@ -66,13 +66,13 @@ def advance_theta(
     theta: np.ndarray,
     cfg: DriftConfig,
     rng: np.random.Generator,
-    remaining_tv: float | None = None,
+    remaining_tv: float,
 ) -> np.ndarray:
     """One drift step. Returns the next unit-norm parameter.
 
     Frozen mode returns the input unchanged and consumes no randomness.
-    When a remaining budget is given, a step whose displacement would exceed
-    it is discarded (the draw is still consumed, keeping streams aligned).
+    A step whose displacement would exceed the remaining budget is discarded
+    (the draw is still consumed, keeping streams aligned).
     """
     theta = _check_unit(theta)
     if cfg.mode == "frozen":
@@ -90,7 +90,7 @@ def advance_theta(
     if pnorm == 0.0:
         return theta.copy()
     proposal /= pnorm
-    if remaining_tv is not None and np.linalg.norm(proposal - theta) > remaining_tv:
+    if np.linalg.norm(proposal - theta) > remaining_tv:
         return theta.copy()
     return proposal
 
@@ -100,24 +100,17 @@ def generate_path(
     dim: int,
     cfg: DriftConfig,
     rng: np.random.Generator,
-    theta0: np.ndarray | None = None,
 ) -> ThetaPath:
     """Realize a full parameter trajectory of the given length."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if theta0 is None:
-        theta0 = rng.standard_normal(dim)
-        theta0 /= np.linalg.norm(theta0)
-    else:
-        theta0 = _check_unit(theta0)
-        if theta0.shape[0] != dim:
-            raise ContractError("theta0 dimension does not match dim")
+    theta0 = rng.standard_normal(dim)
     thetas = np.empty((horizon, dim))
-    thetas[0] = theta0
+    thetas[0] = theta0 / np.linalg.norm(theta0)
     tv_used = 0.0
     for t in range(1, horizon):
         remaining = cfg.tv_budget - tv_used
-        thetas[t] = advance_theta(thetas[t - 1], cfg, rng, remaining_tv=remaining)
+        thetas[t] = advance_theta(thetas[t - 1], cfg, rng, remaining)
         tv_used += float(np.linalg.norm(thetas[t] - thetas[t - 1]))
     return ThetaPath(thetas=thetas, tv_used=tv_used, tv_budget=cfg.tv_budget)
 

@@ -5,9 +5,8 @@ regression for preference data: each feature row is the difference between
 the two compared actions' features and the label is 1 when the first action
 won.
 
-The logistic solve is a damped Newton iteration with an Armijo backtracking
-line search and a gradient-descent fallback; the problem is strictly convex,
-so the minimizer is unique and the solver is deterministic.
+The logistic solve is numerics.newton_logistic, the same solver the
+preference-loop phase fits use.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ConvergenceError
-from .numerics import sigmoid, softplus
+from .errors import ConfigError, ContractError
+from .numerics import newton_logistic, sigmoid
 
 # Lipschitz constant of the logistic derivative; fixed, not a parameter.
 SIGMOID_DERIV_LIPSCHITZ = 0.25
@@ -73,8 +72,6 @@ class WindowEstimate:
     theta_hat: np.ndarray
     A: np.ndarray  # regularized Gram matrix X'X + lam*I
     lambda_min: float
-    n_obs: int
-    converged: bool
     grad_norm: float
 
 
@@ -87,23 +84,13 @@ def window_size(horizon: int, kappa: float) -> int:
     return max(1, math.ceil(horizon**kappa))
 
 
-def _logistic_objective(theta, X, p, lam):
-    z = X @ theta
-    return float(np.sum(softplus(z) - p * z) + 0.5 * lam * theta @ theta)
-
-
 def fit_logistic_window(
-    buffer: WindowBuffer,
-    lam: float,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    theta0: np.ndarray | None = None,
+    buffer: WindowBuffer, lam: float, theta0: np.ndarray | None = None
 ) -> WindowEstimate:
     """Minimize the regularized preference log-loss over the window.
 
     Labels must lie in [0, 1]. An empty buffer yields the zero estimate with
-    A = lam * I. Raises ConvergenceError if the gradient norm has not reached
-    tol within max_iter Newton steps.
+    A = lam * I. Raises ConvergenceError if the solve does not converge.
     """
     if lam <= 0.0:
         raise ConfigError(f"lam must be positive, got {lam}")
@@ -115,53 +102,9 @@ def fit_logistic_window(
     A = X.T @ X + lam * np.eye(d)
     lam_min = float(np.linalg.eigvalsh(A)[0])
     if len(buffer) == 0:
-        return WindowEstimate(np.zeros(d), A, lam_min, 0, True, 0.0)
-
-    theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    obj = _logistic_objective(theta, X, p, lam)
-    grad_norm = math.inf
-    for _ in range(max_iter):
-        z = X @ theta
-        s = sigmoid(z)
-        grad = X.T @ (s - p) + lam * theta
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol:
-            return WindowEstimate(theta, A, lam_min, len(buffer), True, grad_norm)
-        w = s * (1.0 - s)
-        hess = (X * w[:, None]).T @ X + lam * np.eye(d)
-        try:
-            direction = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            direction = -grad
-        if grad @ direction >= 0.0:  # not a descent direction; fall back
-            direction = -grad
-        # Armijo backtracking on the damped step. The absolute slack keeps
-        # the search from stalling when the attainable decrease (~grad^2)
-        # falls below float rounding at the objective's scale; Newton's
-        # quadratic contraction then finishes the last digits.
-        step = 1.0
-        slope = float(grad @ direction)
-        slack = 1e-12 * max(1.0, abs(obj))
-        moved = False
-        for _ in range(60):
-            cand = theta + step * direction
-            cand_obj = _logistic_objective(cand, X, p, lam)
-            if cand_obj <= obj + 1e-4 * step * slope + slack:
-                theta, obj = cand, cand_obj
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            direction = -grad
-            step = 1.0 / (0.25 * float(np.sum(X * X)) + lam)  # inverse smoothness
-            theta = theta + step * direction
-            obj = _logistic_objective(theta, X, p, lam)
-    z = X @ theta
-    grad = X.T @ (sigmoid(z) - p) + lam * theta
-    grad_norm = float(np.linalg.norm(grad))
-    if grad_norm <= tol:
-        return WindowEstimate(theta, A, lam_min, len(buffer), True, grad_norm)
-    raise ConvergenceError("window logistic fit did not converge", theta, grad_norm)
+        return WindowEstimate(np.zeros(d), A, lam_min, 0.0)
+    theta, grad_norm = newton_logistic(X, p, lam, "window logistic fit", theta0)
+    return WindowEstimate(theta, A, lam_min, grad_norm)
 
 
 def min_curvature_constant(phi_max: float = 1.0, theta_max: float = 1.0) -> float:

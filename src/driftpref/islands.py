@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig
-from .env import DriftConfig, ThetaPath, generate_path, make_drift
+from .env import ThetaPath, generate_path, make_drift
 from .errors import ConfigError, ContractError
 from .policies import gate_kl_estimate, inspector_score, softmax_rows
 from .prefloop import (
@@ -173,9 +173,7 @@ def make_episode_scorer(cfg: RunConfig, seed: int):
     are proposed. The drift paths of the latest round are kept, since every
     candidate of a round plays against the same ones.
     """
-    # Known bug: this ignores drift_spread. make_drift(cfg, cfg.eval_horizon)
-    # would honour it, but changes atlas outputs, so it waits for its own change.
-    drift = DriftConfig(cfg.delta_min, cfg.delta_max, cfg.drift_mode, cfg.V_T)
+    drift = make_drift(cfg, cfg.eval_horizon)
     paths: dict[int, list[ThetaPath]] = {}
 
     def scorer(cand: StrategyCandidate, round_idx: int) -> float:
@@ -440,11 +438,10 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                 ))
             if not pairs:
                 phases.append(PhaseReport(
-                    phase_index=phase_index, n_pairs=0, loss_trace=[],
-                    delta_s=math.nan, kl_hat=math.nan, decision="skipped",
-                    accepted=False, chosen="", ref_version_before=ref_version,
-                    ref_version_after=ref_version, beta=cfg.beta,
-                    eps_s=cfg.eps_s, delta_H=cfg.delta_H, gate_size=0,
+                    phase_index=phase_index, n_pairs=0, delta_s=math.nan,
+                    kl_hat=math.nan, decision="skipped", accepted=False, chosen="",
+                    ref_version_before=ref_version, ref_version_after=ref_version,
+                    beta=cfg.beta, eps_s=cfg.eps_s, delta_H=cfg.delta_H, gate_size=0,
                 ))
                 continue
             dataset.append(pairs)
@@ -492,9 +489,8 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
             telemetry.decisions.append(decision)
             phases.append(PhaseReport(
                 phase_index=phase_index, n_pairs=len(all_pairs),
-                loss_trace=fit_full.loss_trace, delta_s=float(delta_s),
-                kl_hat=float(kl_hat), decision=decision, accepted=accepted,
-                chosen=("full", "half", "reference")[best],
+                delta_s=float(delta_s), kl_hat=float(kl_hat), decision=decision,
+                accepted=accepted, chosen=("full", "half", "reference")[best],
                 ref_version_before=ref_version - (1 if accepted and best != 2 else 0),
                 ref_version_after=ref_version, beta=cfg.beta, eps_s=cfg.eps_s,
                 delta_H=cfg.delta_H, gate_size=take,

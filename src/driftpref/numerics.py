@@ -1,8 +1,10 @@
-"""Numerically stable scalar helpers used throughout the package."""
+"""Numerically stable scalar helpers and the package's one logistic solver."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 
 def sigmoid(z):
@@ -30,3 +32,61 @@ def softplus(z):
 def log_sigmoid(z):
     """log(sigmoid(z)) = -softplus(-z)."""
     return -softplus(-np.asarray(z, dtype=float))
+
+
+# Stopping rule of the logistic solver: gradient norm and Newton-step budget.
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 500
+
+
+def _logistic_objective(theta, X, p, lam):
+    z = X @ theta
+    return float(np.sum(softplus(z) - p * z) + 0.5 * lam * theta @ theta)
+
+
+def newton_logistic(X, p, lam, name, theta0=None):
+    """Minimize sum(softplus(X @ theta) - p * (X @ theta)) + lam/2 |theta|^2.
+
+    Damped Newton with Armijo backtracking and a gradient-step fallback. The
+    problem is strictly convex for lam > 0, so the minimizer is unique and
+    the solve is deterministic. Returns (theta, residual gradient norm).
+    Raises ConvergenceError, with name in its message, if the gradient norm
+    has not reached NEWTON_TOL within NEWTON_MAX_ITER Newton steps.
+    """
+    d = X.shape[1]
+    theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    obj = _logistic_objective(theta, X, p, lam)
+    for newton_step in range(NEWTON_MAX_ITER + 1):
+        s = sigmoid(X @ theta)
+        grad = X.T @ (s - p) + lam * theta
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= NEWTON_TOL:
+            return theta, grad_norm
+        if newton_step == NEWTON_MAX_ITER:
+            raise ConvergenceError(f"{name} did not converge", theta, grad_norm)
+        w = s * (1.0 - s)
+        hess = (X * w[:, None]).T @ X + lam * np.eye(d)
+        try:
+            direction = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            direction = -grad
+        if grad @ direction >= 0.0:  # not a descent direction; fall back
+            direction = -grad
+        # Armijo backtracking on the damped step. The absolute slack keeps
+        # the search from stalling when the attainable decrease (~grad^2)
+        # falls below float rounding at the objective's scale; Newton's
+        # quadratic contraction then finishes the last digits.
+        step = 1.0
+        slope = float(grad @ direction)
+        slack = 1e-12 * max(1.0, abs(obj))
+        for _ in range(60):
+            cand = theta + step * direction
+            cand_obj = _logistic_objective(cand, X, p, lam)
+            if cand_obj <= obj + 1e-4 * step * slope + slack:
+                theta, obj = cand, cand_obj
+                break
+            step *= 0.5
+        else:
+            step = 1.0 / (0.25 * float(np.sum(X * X)) + lam)  # inverse smoothness
+            theta = theta - step * grad
+            obj = _logistic_objective(theta, X, p, lam)

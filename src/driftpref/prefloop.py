@@ -22,9 +22,9 @@ import numpy as np
 
 from .config import RunConfig
 from .env import generate_path, make_drift, make_features
-from .errors import ConfigError, ContractError, ConvergenceError
+from .errors import ConfigError, ContractError
 from .estimator import WindowBuffer, fit_logistic_window, window_size
-from .numerics import log_sigmoid, sigmoid, softplus
+from .numerics import log_sigmoid, newton_logistic, sigmoid
 from .policies import gate_kl_estimate, inspector_score, softmax_rows
 from .regret import RegretLedger, oracle_action, regret_decompose
 
@@ -53,7 +53,6 @@ class PhaseReport:
 
     phase_index: int
     n_pairs: int
-    loss_trace: list[float]
     delta_s: float
     kl_hat: float
     decision: str  # accept | reject | inert | skipped
@@ -73,9 +72,7 @@ class DpoFit:
 
     tables: np.ndarray  # (n_contexts, K) policy rows on the fitted contexts
     tilt: np.ndarray  # w; the fitted policy is softmax(log ref + phi @ w / beta)
-    loss_trace: list[float]
     grad_norm: float
-    converged: bool
 
 
 def dpo_loss(
@@ -111,16 +108,15 @@ def fit_dpo(
     pairs: list[PreferencePair],
     beta: float,
     lam: float = 0.1,
-    tol: float = 1e-8,
-    max_iter: int = 500,
     floor: float = 1e-9,
 ) -> DpoFit:
     """Minimize the preference loss over Gibbs tilts of the reference.
 
     The policy class is softmax(log ref + phi @ w / beta) with w free, so the
     pair loss reduces to a logistic loss on winner-minus-loser feature rows;
-    an L2 penalty (lam) keeps the problem strictly convex. Solved by damped
-    Newton with Armijo backtracking. Zero pairs returns the reference.
+    an L2 penalty (lam) keeps the problem strictly convex. Solved by
+    numerics.newton_logistic with every label 1. Zero pairs returns the
+    reference.
     """
     if beta <= 0.0 or lam <= 0.0:
         raise ConfigError("beta and lam must be positive")
@@ -130,7 +126,7 @@ def fit_dpo(
         raise ContractError("ref_rows must be (n, K) and feats (n, K, d)")
     d = feats.shape[2]
     if not pairs:
-        return DpoFit(ref_rows.copy(), np.zeros(d), [], 0.0, True)
+        return DpoFit(ref_rows.copy(), np.zeros(d), 0.0)
     ctx = np.array([p.context_id for p in pairs])
     if ctx.min() < 0 or ctx.max() >= ref_rows.shape[0]:
         raise ContractError("pair context ids must index the provided tables")
@@ -138,52 +134,10 @@ def fit_dpo(
     lose = np.array([p.loser for p in pairs])
     dphi = feats[ctx, win] - feats[ctx, lose]  # (n_pairs, d)
 
-    w = np.zeros(d)
-    trace: list[float] = []
-    grad_norm = math.inf
-    converged = False
-    obj = float(np.sum(softplus(-dphi @ w)) + 0.5 * lam * (w @ w))
-    for _ in range(max_iter):
-        m = dphi @ w
-        trace.append(float(np.mean(softplus(-m))))
-        s = sigmoid(m)
-        grad = dphi.T @ (s - 1.0) + lam * w
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol:
-            converged = True
-            break
-        curvature = s * (1.0 - s)
-        hess = (dphi * curvature[:, None]).T @ dphi + lam * np.eye(d)
-        try:
-            direction = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            direction = -grad
-        if grad @ direction >= 0.0:
-            direction = -grad
-        step = 1.0
-        slope = float(grad @ direction)
-        slack = 1e-12 * max(1.0, abs(obj))  # float-rounding guard near optimum
-        for _ in range(60):
-            cand = w + step * direction
-            cand_obj = float(np.sum(softplus(-dphi @ cand)) + 0.5 * lam * (cand @ cand))
-            if cand_obj <= obj + 1e-4 * step * slope + slack:
-                w, obj = cand, cand_obj
-                break
-            step *= 0.5
-        else:
-            step = 1.0 / (0.25 * float(np.sum(dphi * dphi)) + lam)
-            w = w - step * grad
-            obj = float(np.sum(softplus(-dphi @ w)) + 0.5 * lam * (w @ w))
-    if not converged:
-        m = dphi @ w
-        grad = dphi.T @ (sigmoid(m) - 1.0) + lam * w
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm > tol:
-            raise ConvergenceError("preference fit did not converge", w, grad_norm)
-        converged = True
+    w, grad_norm = newton_logistic(dphi, 1.0, lam, "preference fit")
     logits = np.log(ref_rows) + np.einsum("nkd,d->nk", feats, w) / beta
     tables = softmax_rows(logits, floor=floor)
-    return DpoFit(tables, w, trace, grad_norm, converged)
+    return DpoFit(tables, w, grad_norm)
 
 
 def propose_reference(
@@ -470,7 +424,6 @@ def _run_phase(
     report = PhaseReport(
         phase_index=phase_index,
         n_pairs=len(pairs),
-        loss_trace=fit_full.loss_trace,
         delta_s=float(delta_s),
         kl_hat=float(kl_hat),
         decision=decision,

@@ -56,20 +56,6 @@ class LemmaReport:
     constants: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "trials": self.trials,
-            "violations": self.violations,
-            "excluded": self.excluded,
-            "max_ratio": self.max_ratio,
-            "violation_rate": self.violation_rate,
-            "allowed_rate": self.allowed_rate,
-            "passed": self.passed,
-            "constants": dict(self.constants),
-            "details": dict(self.details),
-        }
-
 
 def _binomial_slack(delta: float, n: int) -> float:
     return 3.0 * math.sqrt(delta * (1.0 - delta) / n)
@@ -472,29 +458,6 @@ class ScalingReport:
     passed_bias_separation: bool
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "horizons": list(self.horizons),
-            "seeds": list(self.seeds),
-            "evolving_regret": self.evolving_regret,
-            "fixed_regret": self.fixed_regret,
-            "evolving_bias": self.evolving_bias,
-            "fixed_bias": self.fixed_bias,
-            "evolving_exponents": self.evolving_exponents,
-            "fixed_exponents": self.fixed_exponents,
-            "evolving_bias_slopes": self.evolving_bias_slopes,
-            "fixed_bias_slopes": self.fixed_bias_slopes,
-            "evolving_exponent": self.evolving_exponent,
-            "fixed_exponent": self.fixed_exponent,
-            "domination": self.domination,
-            "bias_separation": self.bias_separation,
-            "accept_rate_mean": self.accept_rate_mean,
-            "passed_exponent": self.passed_exponent,
-            "passed_domination": self.passed_domination,
-            "passed_bias_separation": self.passed_bias_separation,
-            "passed": self.passed,
-        }
-
 
 def check_regret_scaling(
     base: RunConfig | None = None,
@@ -590,16 +553,6 @@ class FrozenBiasReport:
     fixed_mean_abs_bias: float
     ceiling: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "seeds": list(self.seeds),
-            "evolving_mean_abs_bias": self.evolving_mean_abs_bias,
-            "fixed_mean_abs_bias": self.fixed_mean_abs_bias,
-            "ceiling": self.ceiling,
-            "passed": self.passed,
-        }
 
 
 def check_frozen_bias(

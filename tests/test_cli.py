@@ -105,7 +105,7 @@ class TestStepsCsv:
 
 def make_phase(k=1, decision="accept", delta_s=0.01, kl_hat=0.001, n_pairs=20):
     return PhaseReport(
-        phase_index=k, n_pairs=n_pairs, loss_trace=[], delta_s=delta_s,
+        phase_index=k, n_pairs=n_pairs, delta_s=delta_s,
         kl_hat=kl_hat, decision=decision, accepted=decision == "accept",
         chosen="full" if decision == "accept" else "",
         ref_version_before=0, ref_version_after=1 if decision == "accept" else 0,

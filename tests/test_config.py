@@ -1,5 +1,7 @@
 """Run configuration validation and the key = value parser."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from driftpref.config import RunConfig, parse_config, parse_seeds
@@ -91,6 +93,26 @@ class TestParseConfig:
         assert cfg.drift_spread is True
         assert cfg.kappa == 0.5
         assert cfg.rounds == 40
+
+    def test_every_field_round_trips_with_a_non_default_value(self):
+        default = RunConfig()
+        changed = {"mode": "atlas", "drift_mode": "frozen", "seeds": (3, 5)}
+        for f in fields(RunConfig):
+            value = getattr(default, f.name)
+            if isinstance(value, bool):
+                changed[f.name] = not value
+            elif isinstance(value, int):
+                changed[f.name] = value + 1
+            elif isinstance(value, float):
+                changed[f.name] = value + 0.125
+        assert set(changed) == {f.name for f in fields(RunConfig)}
+        expected = replace(default, **changed)
+        assert all(getattr(expected, k) != getattr(default, k) for k in changed)
+        text = "".join(
+            f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+            for k, v in changed.items()
+        )
+        assert parse_config(text) == expected
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2"):

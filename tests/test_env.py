@@ -49,14 +49,14 @@ class TestAdvanceTheta:
         cfg = DriftConfig(delta_min=0.1, delta_max=2.0)
         theta = unit(rng, 6)
         for _ in range(200):
-            theta = advance_theta(theta, cfg, rng)
+            theta = advance_theta(theta, cfg, rng, 1e9)
             assert abs(np.linalg.norm(theta) - 1.0) < 1e-12
 
     def test_zero_magnitude_keeps_theta(self):
         rng = np.random.default_rng(1)
         cfg = DriftConfig(delta_min=0.0, delta_max=0.0)
         theta = unit(rng, 4)
-        out = advance_theta(theta, cfg, rng)
+        out = advance_theta(theta, cfg, rng, 1e9)
         assert np.allclose(out, theta, atol=1e-12)
 
     def test_frozen_returns_copy_without_randomness(self):
@@ -64,7 +64,7 @@ class TestAdvanceTheta:
         theta = np.array([1.0, 0.0, 0.0])
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
-        out = advance_theta(theta, cfg, rng_a)
+        out = advance_theta(theta, cfg, rng_a, 1e9)
         assert np.array_equal(out, theta)
         assert out is not theta
         # no draws consumed: both generators stay aligned
@@ -73,7 +73,7 @@ class TestAdvanceTheta:
     def test_non_unit_input_rejected(self):
         rng = np.random.default_rng(2)
         with pytest.raises(ContractError):
-            advance_theta(np.array([1.0, 1.0]), DriftConfig(), rng)
+            advance_theta(np.array([1.0, 1.0]), DriftConfig(), rng, 1e9)
 
     def test_budget_discard_freezes_step(self):
         rng = np.random.default_rng(3)
@@ -89,7 +89,7 @@ class TestAdvanceTheta:
         rng_a = np.random.default_rng(11)
         rng_b = np.random.default_rng(11)
         advance_theta(theta, cfg, rng_a, remaining_tv=0.0)
-        advance_theta(theta, cfg, rng_b, remaining_tv=None)
+        advance_theta(theta, cfg, rng_b, remaining_tv=1e9)
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
 
@@ -116,17 +116,6 @@ class TestGeneratePath:
         path = generate_path(50, 3, cfg, rng)
         assert np.all(path.thetas == path.thetas[0])
         assert path.tv_used == 0.0
-
-    def test_theta0_respected(self):
-        rng = np.random.default_rng(6)
-        theta0 = np.array([0.0, 1.0, 0.0])
-        path = generate_path(10, 3, DriftConfig(), rng, theta0=theta0)
-        assert np.array_equal(path.thetas[0], theta0)
-
-    def test_theta0_dim_mismatch(self):
-        rng = np.random.default_rng(6)
-        with pytest.raises(ContractError):
-            generate_path(10, 4, DriftConfig(), rng, theta0=np.array([1.0, 0.0]))
 
     def test_bad_horizon(self):
         with pytest.raises(ConfigError):

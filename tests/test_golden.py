@@ -26,7 +26,8 @@ _PREF = RunConfig(H=200, drift_spread=True, fixed_context=True, delta_H=0.1,
 
 # Small configs covering what the benchmark workloads do not: spread drift
 # with a shared context, the bandit's spread branch, an atlas run whose
-# phases are all skipped, and verify with a trial override.
+# phases are all skipped, an atlas run with spread drift whose two gated
+# phases accept once and reject once, and verify with a trial override.
 CASES = {
     "evodpo": replace(_PREF, mode="evodpo"),
     "fixed-ref": replace(_PREF, mode="fixed-ref"),
@@ -34,6 +35,10 @@ CASES = {
                                seeds=(0, 1)),
     "atlas": RunConfig(mode="atlas", rounds=4, islands=1, proposals_per_island=1,
                        phase_length=1, seeds=(0,)),
+    "atlas-spread": RunConfig(mode="atlas", drift_spread=True, V_T=10.0, rounds=4,
+                              islands=2, proposals_per_island=2, phase_length=2,
+                              eval_horizon=100, eval_episodes=2, delta_H=0.2,
+                              seeds=(0,)),
     "verify": RunConfig(mode="verify", trials=50, seeds=(0,)),
 }
 

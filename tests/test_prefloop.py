@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from driftpref.config import RunConfig
-from driftpref.errors import ConfigError, ContractError
+from driftpref.errors import ConfigError, ContractError, ConvergenceError
 from driftpref.numerics import sigmoid, softplus
 from driftpref.policies import gate_kl_estimate, inspector_score, softmax_rows
 from driftpref.prefloop import (
@@ -134,7 +134,7 @@ class TestFitDpo:
         fit = fit_dpo(ref, feats, [], beta=0.6)
         assert np.array_equal(fit.tables, ref)
         assert np.array_equal(fit.tilt, np.zeros(4))
-        assert fit.converged
+        assert fit.grad_norm == 0.0
 
     def test_identical_pairs_match_scalar_root_oracle(self):
         # all pairs prefer arm 0 in one context: the tilt lies along the
@@ -212,6 +212,13 @@ class TestFitDpo:
         feats = np.zeros((1, 2, 2))
         with pytest.raises(ContractError):
             fit_dpo(ref, feats, [PreferencePair(3, 0, 1)], beta=1.0)
+
+    def test_convergence_error_names_the_preference_fit(self, monkeypatch):
+        feats = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        monkeypatch.setattr("driftpref.numerics.NEWTON_MAX_ITER", 0)
+        with pytest.raises(ConvergenceError, match="^preference fit") as err:
+            fit_dpo(np.array([[0.5, 0.5]]), feats, [PreferencePair(0, 0, 1)], beta=1.0)
+        assert err.value.iterate.shape == (2,)
 
     def test_shape_contract(self):
         with pytest.raises(ContractError):

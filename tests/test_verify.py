@@ -1,7 +1,7 @@
 """Bound checks: structure, small-size smoke runs, and helper oracles."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -40,7 +40,7 @@ class TestKlBoundCheck:
     def test_deterministic(self):
         a = check_kl_bound(trials=30, seed=7)
         b = check_kl_bound(trials=30, seed=7)
-        assert a.to_dict() == b.to_dict()
+        assert asdict(a) == asdict(b)
 
     def test_bad_trials(self):
         with pytest.raises(ConfigError):
@@ -183,7 +183,7 @@ class TestRunStandardChecks:
 
     def test_report_dict_round_trip(self):
         rep = check_kl_bound(trials=20)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert set(d) == {
             "lemma_id", "trials", "violations", "excluded", "max_ratio",
             "violation_rate", "allowed_rate", "passed", "constants", "details",
@@ -220,7 +220,7 @@ class TestScalingStudy:
         assert 0.0 <= rep.domination <= 1.0
         assert math.isfinite(rep.evolving_exponent)
         assert math.isfinite(rep.bias_separation)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert d["passed"] == rep.passed
         assert d["evolving_exponent"] == rep.evolving_exponent
 
@@ -234,4 +234,4 @@ class TestFrozenBiasCheck:
         assert a.evolving_mean_abs_bias >= 0.0
         assert a.fixed_mean_abs_bias >= 0.0
         assert a.ceiling == 1e-3
-        assert a.to_dict() == b.to_dict()
+        assert asdict(a) == asdict(b)
