@@ -21,8 +21,6 @@ from .env import (
 )
 from .errors import ConfigError, ContractError, ConvergenceError
 from .estimator import (
-    WindowBuffer,
-    WindowEstimate,
     estimation_error_rhs,
     fit_logistic_window,
     min_curvature_constant,

@@ -1,9 +1,9 @@
 """Sliding-window parameter estimation.
 
-A windowed buffer of (feature, label) rows feeds a regularized logistic
-regression for preference data: each feature row is the difference between
-the two compared actions' features and the label is 1 when the first action
-won.
+The window is a slice of a run's history: its (feature, label) rows, oldest
+to newest, feed a regularized logistic regression for preference data. Each
+feature row is the difference between the two compared actions' features and
+the label is 1 when the first action won.
 
 The logistic solve is numerics.newton_logistic, the same solver the
 preference-loop phase fits use.
@@ -12,7 +12,6 @@ preference-loop phase fits use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,58 +20,6 @@ from .numerics import newton_logistic, sigmoid
 
 # Lipschitz constant of the logistic derivative; fixed, not a parameter.
 SIGMOID_DERIV_LIPSCHITZ = 0.25
-
-
-class WindowBuffer:
-    """Fixed-capacity FIFO of (feature row, label) observations."""
-
-    def __init__(self, capacity: int, dim: int):
-        if capacity < 1:
-            raise ConfigError(f"capacity must be >= 1, got {capacity}")
-        if dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {dim}")
-        self.capacity = capacity
-        self.dim = dim
-        self._feat = np.zeros((capacity, dim))
-        self._lab = np.zeros(capacity)
-        self._next = 0
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, phi: np.ndarray, label: float) -> None:
-        phi = np.asarray(phi, dtype=float)
-        if phi.shape != (self.dim,):
-            raise ContractError(f"feature row must have shape ({self.dim},)")
-        self._feat[self._next] = phi
-        self._lab[self._next] = float(label)
-        self._next = (self._next + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
-
-    def _order(self) -> np.ndarray:
-        if self._size < self.capacity:
-            return np.arange(self._size)
-        return np.roll(np.arange(self.capacity), -self._next)
-
-    @property
-    def features(self) -> np.ndarray:
-        """Rows oldest to newest, shape (n, dim)."""
-        return self._feat[self._order()]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self._lab[self._order()]
-
-
-@dataclass
-class WindowEstimate:
-    """Result of a windowed fit."""
-
-    theta_hat: np.ndarray
-    A: np.ndarray  # regularized Gram matrix X'X + lam*I
-    lambda_min: float
-    grad_norm: float
 
 
 def window_size(horizon: int, kappa: float) -> int:
@@ -85,26 +32,25 @@ def window_size(horizon: int, kappa: float) -> int:
 
 
 def fit_logistic_window(
-    buffer: WindowBuffer, lam: float, theta0: np.ndarray | None = None
-) -> WindowEstimate:
-    """Minimize the regularized preference log-loss over the window.
+    X: np.ndarray, p: np.ndarray, lam: float, theta0: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Minimize the regularized preference log-loss over the window's rows.
 
-    Labels must lie in [0, 1]. An empty buffer yields the zero estimate with
-    A = lam * I. Raises ConvergenceError if the solve does not converge.
+    X is (n, d), oldest row first; p holds one label in [0, 1] per row. Zero
+    rows yield the zero estimate. Returns (theta_hat, residual gradient
+    norm); raises ConvergenceError if the solve does not converge.
     """
     if lam <= 0.0:
         raise ConfigError(f"lam must be positive, got {lam}")
-    X = buffer.features
-    p = buffer.labels
+    X = np.asarray(X, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if X.ndim != 2 or p.shape != (X.shape[0],):
+        raise ContractError("window rows must be (n, d) with one label per row")
     if np.any((p < 0.0) | (p > 1.0)):
         raise ContractError("preference labels must lie in [0, 1]")
-    d = buffer.dim
-    A = X.T @ X + lam * np.eye(d)
-    lam_min = float(np.linalg.eigvalsh(A)[0])
-    if len(buffer) == 0:
-        return WindowEstimate(np.zeros(d), A, lam_min, 0.0)
-    theta, grad_norm = newton_logistic(X, p, lam, "window logistic fit", theta0)
-    return WindowEstimate(theta, A, lam_min, grad_norm)
+    if X.shape[0] == 0:
+        return np.zeros(X.shape[1]), 0.0
+    return newton_logistic(X, p, lam, "window logistic fit", theta0)
 
 
 def min_curvature_constant(phi_max: float = 1.0, theta_max: float = 1.0) -> float:

@@ -31,7 +31,7 @@ from .prefloop import (
     propose_reference,
     sample_categorical,
 )
-from .regret import nmr as nmr_of
+from .regret import nmr as nmr_of, switch_flags
 
 # Substream tags (distinct from the preference loop's 0..3).
 _S_EPATH, _S_ECTX, _S_ENOISE = 0, 1, 2
@@ -124,12 +124,8 @@ def run_reward_episode(
     # Everything that does not depend on the chosen arms is computed up front;
     # each (K, d) @ (d,) slice gives the same bits as the per-step product.
     utils = np.matmul(feats, path.thetas[:, :, None])[:, :, 0]
-    stale = np.matmul(feats[1:], path.thetas[:-1, :, None])[:, :, 0]
     noise = rng_noise.standard_normal(horizon)
     expected_best = utils.max(axis=1)
-    oracle_arm = np.argmax(utils, axis=1)
-    switch = np.zeros(horizon, dtype=int)
-    switch[1:] = oracle_arm[1:] != np.argmax(stale, axis=1)
 
     W = cand.window_size
     A = cand.lambda_reg * np.eye(d)
@@ -159,8 +155,8 @@ def run_reward_episode(
     return EpisodeResult(
         expected_best=expected_best,
         expected_chosen=expected_chosen,
-        oracle_arm=oracle_arm,
-        switch=switch,
+        oracle_arm=np.argmax(utils, axis=1),
+        switch=switch_flags(path.thetas, feats),
         nmr=nmr_of(expected_best, expected_chosen),
     )
 

@@ -23,10 +23,10 @@ import numpy as np
 from .config import RunConfig
 from .env import generate_path, make_drift, make_features
 from .errors import ConfigError, ContractError
-from .estimator import WindowBuffer, fit_logistic_window, window_size
+from .estimator import fit_logistic_window, window_size
 from .numerics import log_sigmoid, newton_logistic, sigmoid
 from .policies import gate_kl_estimate, inspector_score, softmax_rows
-from .regret import RegretLedger, oracle_action, regret_decompose
+from .regret import RegretLedger, regret_decompose, switch_flags
 
 # Substream tags: path, contexts, agent draws, gate subsets, warmup batch.
 _S_PATH, _S_CTX, _S_AGENT, _S_GATE, _S_WARM = 0, 1, 2, 3, 4
@@ -220,14 +220,11 @@ def _warm_start(
     rows = np.arange(n0)
     dphi = phi[rows, first] - phi[rows, second]
     wins = rng.uniform(size=n0) < sigmoid(dphi @ theta0)
-    buf = WindowBuffer(n0, d)
-    for row, win in zip(dphi, wins):
-        buf.push(row, 1.0 if win else 0.0)
-    est = fit_logistic_window(buf, cfg.lam)
-    norm = float(np.linalg.norm(est.theta_hat))
+    theta_hat, _ = fit_logistic_window(dphi, wins.astype(float), cfg.lam)
+    norm = float(np.linalg.norm(theta_hat))
     if norm <= 1e-12:
         return np.zeros(d), np.zeros(d)
-    return est.theta_hat, (cfg.warm_scale / norm) * est.theta_hat
+    return theta_hat, (cfg.warm_scale / norm) * theta_hat
 
 
 def run_preference_loop(
@@ -260,8 +257,12 @@ def run_preference_loop(
     else:
         feats_all = rng_ctx.standard_normal((H, K, d))
         feats_all /= np.linalg.norm(feats_all, axis=2, keepdims=True)
+    # each (K, d) @ (d,) slice of the batched product has the per-step bits
+    utils = np.matmul(feats_all, path.thetas[:, :, None])[:, :, 0]
 
-    buffer = WindowBuffer(W, d)
+    # each step's difference row and label; step t fits on the W before it
+    rows = np.empty((H, d))
+    labels = np.empty(H)
     theta_hat = np.zeros(d)
     g_ref = np.zeros(d)
     if cfg.warm_scale > 0.0:
@@ -283,8 +284,8 @@ def run_preference_loop(
         error=np.zeros(H),
         regret_step=np.zeros(H),
         regret_cum=np.zeros(H),
-        oracle_arm=np.zeros(H, dtype=int),
-        switch=np.zeros(H, dtype=int),
+        oracle_arm=np.argmax(utils, axis=1),
+        switch=switch_flags(path.thetas, feats_all),
     )
 
     cum = 0.0
@@ -292,17 +293,17 @@ def run_preference_loop(
     for t in range(H):
         phi = feats_all[t]
         theta = path.thetas[t]
-        u_true = phi @ theta
+        u_true = utils[t]
 
-        if len(buffer) > 0:
-            est = fit_logistic_window(buffer, cfg.lam, theta0=theta_hat)
-            theta_hat = est.theta_hat
+        if t > 0:
+            lo = max(0, t - W)
+            theta_hat, _ = fit_logistic_window(
+                rows[lo:t], labels[lo:t], cfg.lam, theta0=theta_hat)
 
         learner = softmax_rows(phi @ (g_ref + theta_hat / cfg.beta), floor=floor)
         comparator = softmax_rows(phi @ (g_ref + theta / cfg.beta_ref), floor=floor)
 
         # ledger before any phase update: the reference is constant in-phase
-        oracle = oracle_action(u_true)
         bias, error = regret_decompose(u_true, learner, comparator)
         cum += bias + error
         led.phase[t] = phase_index + 1
@@ -310,10 +311,6 @@ def run_preference_loop(
         led.error[t] = error
         led.regret_step[t] = bias + error
         led.regret_cum[t] = cum
-        led.oracle_arm[t] = oracle
-        if t > 0:
-            prev_oracle = int(np.argmax(phi @ path.thetas[t - 1]))
-            led.switch[t] = int(oracle != prev_oracle)
 
         first = sample_categorical(rng_agent, learner)
         residual = learner.copy()
@@ -323,7 +320,8 @@ def run_preference_loop(
         p_first = float(sigmoid(gap))
         first_wins = bool(rng_agent.uniform() < p_first)
         winner, loser = (first, second) if first_wins else (second, first)
-        buffer.push(phi[first] - phi[second], 1.0 if first_wins else 0.0)
+        rows[t] = phi[first] - phi[second]
+        labels[t] = 1.0 if first_wins else 0.0
         phase_pairs.append(PreferencePair(context_id=t, winner=winner, loser=loser))
 
         if (t + 1) % cfg.phase_length == 0 and phase_index < max_phases:

@@ -70,13 +70,8 @@ def regret_decompose(
     return best - j_kl, j_kl - j_pi
 
 
-def switch_flags(thetas: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Per-step oracle-change flags.
-
-    Step t is a switch when the oracle under theta_t differs from the oracle
-    under theta_{t-1}, both evaluated on step t's feature table. features is
-    (T, K, d) or (K, d) for a shared context; the first step is never a switch.
-    """
+def _stacked(thetas: np.ndarray, features: np.ndarray):
+    """Float arrays, with a shared (K, d) context broadcast to every step."""
     thetas = np.asarray(thetas, dtype=float)
     features = np.asarray(features, dtype=float)
     T = thetas.shape[0]
@@ -84,11 +79,22 @@ def switch_flags(thetas: np.ndarray, features: np.ndarray) -> np.ndarray:
         features = np.broadcast_to(features, (T,) + features.shape)
     if features.shape[0] != T:
         raise ContractError("features must cover every step")
-    flags = np.zeros(T, dtype=int)
-    for t in range(1, T):
-        now = int(np.argmax(features[t] @ thetas[t]))
-        prev = int(np.argmax(features[t] @ thetas[t - 1]))
-        flags[t] = int(now != prev)
+    return thetas, features
+
+
+def switch_flags(thetas: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Per-step oracle-change flags.
+
+    Step t is a switch when the oracle under theta_t differs from the oracle
+    under theta_{t-1}, both evaluated on step t's feature table. features is
+    (T, K, d) or (K, d) for a shared context; the first step is never a switch.
+    Each (K, d) @ (d,) slice of the batched products has the per-step bits.
+    """
+    thetas, features = _stacked(thetas, features)
+    now = np.matmul(features[1:], thetas[1:, :, None])[:, :, 0]
+    prev = np.matmul(features[1:], thetas[:-1, :, None])[:, :, 0]
+    flags = np.zeros(thetas.shape[0], dtype=int)
+    flags[1:] = np.argmax(now, axis=1) != np.argmax(prev, axis=1)
     return flags
 
 
@@ -103,21 +109,12 @@ def min_margin(thetas: np.ndarray, features: np.ndarray) -> float:
     Steps flagged as switches are excluded: the gap crosses zero there by
     construction, so only stable steps inform the margin.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    features = np.asarray(features, dtype=float)
-    T = thetas.shape[0]
-    if features.ndim == 2:
-        features = np.broadcast_to(features, (T,) + features.shape)
-    flags = switch_flags(thetas, features)
-    best = np.inf
-    for t in range(T):
-        if flags[t]:
-            continue
-        u = np.sort(features[t] @ thetas[t])
-        if u.shape[0] < 2:
-            raise ContractError("margin needs at least two actions")
-        best = min(best, float(u[-1] - u[-2]))
-    return best
+    thetas, features = _stacked(thetas, features)
+    if features.shape[1] < 2:
+        raise ContractError("margin needs at least two actions")
+    u = np.sort(np.matmul(features, thetas[:, :, None])[:, :, 0], axis=1)
+    gaps = (u[:, -1] - u[:, -2])[switch_flags(thetas, features) == 0]
+    return float(gaps.min()) if gaps.size else np.inf
 
 
 def nmr(expected_best: np.ndarray, expected_chosen: np.ndarray) -> float:

@@ -18,7 +18,6 @@ from .config import RunConfig
 from .env import DriftConfig, generate_path, make_features, spread_drift_limits
 from .errors import ConfigError
 from .estimator import (
-    WindowBuffer,
     estimation_error_rhs,
     fit_logistic_window,
     min_curvature_constant,
@@ -61,6 +60,11 @@ def _binomial_slack(delta: float, n: int) -> float:
     return 3.0 * math.sqrt(delta * (1.0 - delta) / n)
 
 
+def _exceeds(lhs: float, rhs: float) -> bool:
+    """Strict violation of an exact inequality, past float rounding."""
+    return lhs > rhs + _EXACT_EPS * max(1.0, rhs)
+
+
 def check_kl_bound(
     trials: int = 1000, K: int = 4, d: int = 3, seed: int = 0
 ) -> LemmaReport:
@@ -92,7 +96,7 @@ def check_kl_bound(
         rhs = diff * diff / (2.0 * beta * beta)
         if rhs > 0.0:
             max_ratio = max(max_ratio, lhs / rhs)
-        if lhs > rhs + _EXACT_EPS * max(1.0, rhs):
+        if _exceeds(lhs, rhs):
             violations += 1
     return LemmaReport(
         lemma_id="kl-perturbation",
@@ -146,7 +150,7 @@ def check_switching_budget(
         rhs = 2.0 * 1.0 * path.tv_used / gamma
         if rhs > 0.0:
             max_ratio = max(max_ratio, switches / rhs)
-        if switches > rhs + _EXACT_EPS * max(1.0, rhs):
+        if _exceeds(switches, rhs):
             violations += 1
     return LemmaReport(
         lemma_id="switching-budget",
@@ -177,11 +181,7 @@ def local_window_variation(thetas: np.ndarray, window: int) -> np.ndarray:
     if T > 1:
         incs[1:] = np.linalg.norm(np.diff(thetas, axis=0), axis=1)
     csum = np.concatenate([[0.0], np.cumsum(incs)])
-    out = np.empty(T)
-    for t in range(T):
-        lo = max(0, t - window)
-        out[t] = csum[t + 1] - csum[lo + 1]
-    return out
+    return csum[1:] - csum[np.maximum(np.arange(T) - window, 0) + 1]
 
 
 def check_local_variation(
@@ -217,14 +217,14 @@ def check_local_variation(
             checked += 1
             if rhs > 0.0:
                 max_ratio = max(max_ratio, lhs / rhs)
-            if lhs > rhs + _EXACT_EPS * max(1.0, rhs):
+            if _exceeds(lhs, rhs):
                 violations += 1
         lhs_total = float(v_local.sum())
         rhs_total = window * path.tv_used
         checked += 1
         if rhs_total > 0.0:
             max_ratio = max(max_ratio, lhs_total / rhs_total)
-        if lhs_total > rhs_total + _EXACT_EPS * max(1.0, rhs_total):
+        if _exceeds(lhs_total, rhs_total):
             violations += 1
     return LemmaReport(
         lemma_id="local-variation",
@@ -358,13 +358,12 @@ def check_estimation_error(
         incs[1:] = np.linalg.norm(np.diff(path.thetas, axis=0), axis=1)
         csum = np.cumsum(incs)
         for t in check_steps:
-            buffer = WindowBuffer(window, d)
-            for tau in range(t - window, t):
-                buffer.push(dphi[tau], labels[tau])
-            fit = fit_logistic_window(buffer, lam)
-            err = float(np.linalg.norm(fit.theta_hat - path.thetas[t]))
+            X = dphi[t - window:t]
+            theta_hat, _ = fit_logistic_window(X, labels[t - window:t], lam)
+            err = float(np.linalg.norm(theta_hat - path.thetas[t]))
             v_window = float(csum[t] - csum[t - window])
-            c = fit.lambda_min / window
+            lambda_min = float(np.linalg.eigvalsh(X.T @ X + lam * np.eye(d))[0])
+            c = lambda_min / window
             c_values.append(c)
             rhs = estimation_error_rhs(
                 v_window, window, lam, d, delta, m0, c,

@@ -13,7 +13,7 @@ import numpy as np
 
 from driftpref.cli import execute_run
 from driftpref.config import RunConfig
-from driftpref.estimator import WindowBuffer, fit_logistic_window
+from driftpref.estimator import fit_logistic_window
 from driftpref.islands import run_island_search, run_reward_bandit
 from driftpref.numerics import sigmoid
 from driftpref.policies import softmax_rows
@@ -54,8 +54,8 @@ def test_criterion_01_dpo_matches_window_fit():
         ref = rng.random(k) + 1e-3
         ref = (ref / ref.sum())[None, :]
         pairs = []
-        buf = WindowBuffer(500, d)
-        for _ in range(500):
+        rows = np.empty((500, d))
+        for i in range(500):
             first = int(rng.integers(k))
             second = int((first + 1 + rng.integers(k - 1)) % k)
             gap = float((feats_row[first] - feats_row[second]) @ theta_star)
@@ -64,10 +64,10 @@ def test_criterion_01_dpo_matches_window_fit():
             else:
                 pairs.append(PreferencePair(0, second, first))
             win = pairs[-1]
-            buf.push(feats_row[win.winner] - feats_row[win.loser], 1.0)
+            rows[i] = feats_row[win.winner] - feats_row[win.loser]
         beta = 0.6
         fit = fit_dpo(ref, feats_row[None, :, :], pairs, beta=beta, lam=0.1)
-        theta_hat = fit_logistic_window(buf, lam=0.1).theta_hat
+        theta_hat, _ = fit_logistic_window(rows, np.ones(500), lam=0.1)
         target = softmax_rows(
             np.log(ref) + (feats_row @ theta_hat)[None, :] / beta, floor=0.0)
         worst = max(worst, 0.5 * float(np.abs(fit.tables[0] - target[0]).sum()))

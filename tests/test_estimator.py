@@ -8,13 +8,13 @@ import pytest
 from driftpref.config import RunConfig
 from driftpref.errors import ConfigError, ContractError, ConvergenceError
 from driftpref.estimator import (
-    WindowBuffer,
     estimation_error_rhs,
     fit_logistic_window,
     min_curvature_constant,
     window_size,
 )
 from driftpref.numerics import sigmoid, softplus
+from driftpref.prefloop import run_preference_loop
 
 
 def unit(rng, d):
@@ -22,16 +22,14 @@ def unit(rng, d):
     return v / np.linalg.norm(v)
 
 
-def fill_preference_buffer(rng, n, d, theta_star, capacity=None):
+def preference_rows(rng, n, d, theta_star):
     """Difference-feature rows with Bradley-Terry labels at theta_star."""
-    buf = WindowBuffer(capacity=capacity or n, dim=d)
     rows = np.empty((n, d))
     labels = np.empty(n)
     for i in range(n):
         rows[i] = unit(rng, d) - unit(rng, d)
         labels[i] = float(rng.random() < sigmoid(rows[i] @ theta_star))
-        buf.push(rows[i], labels[i])
-    return buf, rows, labels
+    return rows, labels
 
 
 def gd_logistic_oracle(X, p, lam, tol=1e-9, max_iter=500_000):
@@ -46,49 +44,44 @@ def gd_logistic_oracle(X, p, lam, tol=1e-9, max_iter=500_000):
     return theta
 
 
-def min_eig_bisect(A, tol=1e-12):
-    """Smallest eigenvalue of a symmetric PSD matrix via Cholesky bisection."""
-    lo, hi = 0.0, float(np.min(np.diag(A)))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        try:
-            np.linalg.cholesky(A - mid * np.eye(A.shape[0]))
-            lo = mid
-        except np.linalg.LinAlgError:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return lo
-
-
 class TestWindowBuffer:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            WindowBuffer(capacity=0, dim=3)
-        with pytest.raises(ConfigError):
-            WindowBuffer(capacity=5, dim=0)
+    """The estimation window: the last min(t, W) rows of a preference run,
+    oldest first, as step t passes them to fit_logistic_window."""
 
-    def test_push_shape_mismatch(self):
-        buf = WindowBuffer(capacity=3, dim=2)
-        with pytest.raises(ContractError):
-            buf.push(np.zeros(3), 1.0)
+    @staticmethod
+    def record_fits(monkeypatch):
+        import driftpref.prefloop as prefloop
 
-    def test_eviction_keeps_last_capacity_entries_in_order(self):
-        W, k, d = 8, 5, 2
-        buf = WindowBuffer(capacity=W, dim=d)
-        rows = [np.array([float(i), -float(i)]) for i in range(W + k)]
-        for i, row in enumerate(rows):
-            buf.push(row, float(i % 2))
-        assert len(buf) == W
-        expect = np.stack(rows[k:])
-        assert np.array_equal(buf.features, expect)
-        assert np.array_equal(buf.labels, np.array([float(i % 2) for i in range(k, W + k)]))
+        fits = []
+        fit_window = prefloop.fit_logistic_window
 
-    def test_partial_fill(self):
-        buf = WindowBuffer(capacity=10, dim=1)
-        buf.push(np.array([2.0]), 1.0)
-        assert len(buf) == 1
-        assert buf.features.shape == (1, 1)
+        def recording_fit(X, p, lam, theta0=None):
+            fits.append((X.copy(), p.copy()))
+            return fit_window(X, p, lam, theta0)
+
+        monkeypatch.setattr(prefloop, "fit_logistic_window", recording_fit)
+        cfg = RunConfig(
+            mode="evodpo", K=5, d=5, H=60, phase_length=20, gate_size=32,
+            drift_mode="sphere-walk", delta_min=0.05, delta_max=0.2, V_T=1e9,
+        )
+        res = run_preference_loop(cfg, seed=0)
+        return fits, res.window
+
+    def test_eviction_keeps_last_capacity_entries_in_order(self, monkeypatch):
+        # each fit's rows are the previous fit's rows, less the oldest once W
+        # are held, plus the newest
+        fits, W = self.record_fits(monkeypatch)
+        assert len(fits) == 59 and W < 59
+        for (X0, p0), (X1, p1) in zip(fits, fits[1:]):
+            drop = 1 if len(X0) == W else 0
+            assert np.array_equal(X1[:-1], X0[drop:])
+            assert np.array_equal(p1[:-1], p0[drop:])
+
+    def test_partial_fill(self, monkeypatch):
+        fits, W = self.record_fits(monkeypatch)
+        for t, (X, p) in enumerate(fits, start=1):
+            assert X.shape == (min(t, W), 5) and p.shape == (min(t, W),)
+            assert set(np.unique(p)) <= {0.0, 1.0}
 
 
 class TestWindowSize:
@@ -111,100 +104,83 @@ class TestWindowSize:
 
 
 class TestWindowCovariance:
-    """The regularized Gram matrix A and its lambda_min, as the window fit reports."""
-
-    def test_empty_buffer_is_lam_identity(self):
-        buf = WindowBuffer(capacity=4, dim=3)
-        est = fit_logistic_window(buf, lam=0.7)
-        assert np.array_equal(est.A, 0.7 * np.eye(3))
-        assert abs(est.lambda_min - 0.7) < 1e-12
-
-    def test_single_axis_entry(self):
-        buf = WindowBuffer(capacity=4, dim=3)
-        buf.push(np.array([1.0, 0.0, 0.0]), 1.0)
-        est = fit_logistic_window(buf, lam=1.0)
-        assert np.array_equal(est.A, np.diag([2.0, 1.0, 1.0]))
-        assert abs(est.lambda_min - 1.0) < 1e-12
-
-    def test_lambda_min_matches_bisection_oracle(self):
-        rng = np.random.default_rng(20)
-        buf = WindowBuffer(capacity=50, dim=5)
-        for _ in range(50):
-            buf.push(unit(rng, 5), float(rng.random() < 0.5))
-        est = fit_logistic_window(buf, lam=0.3)
-        assert abs(est.lambda_min - min_eig_bisect(est.A)) < 1e-8
+    """lam > 0 keeps the window's Gram matrix lam * I + X^T X invertible."""
 
     def test_bad_lam(self):
         with pytest.raises(ConfigError):
-            fit_logistic_window(WindowBuffer(capacity=2, dim=2), lam=0.0)
+            fit_logistic_window(np.zeros((2, 2)), np.zeros(2), lam=0.0)
 
 
 class TestFitLogisticWindow:
     def test_empty_buffer_gives_zero(self):
-        buf = WindowBuffer(capacity=5, dim=3)
-        est = fit_logistic_window(buf, lam=0.2)
-        assert np.array_equal(est.theta_hat, np.zeros(3))
-        assert np.array_equal(est.A, 0.2 * np.eye(3))
-        assert est.grad_norm == 0.0
+        theta_hat, grad_norm = fit_logistic_window(np.zeros((0, 3)), np.zeros(0), lam=0.2)
+        assert np.array_equal(theta_hat, np.zeros(3))
+        assert grad_norm == 0.0
 
     def test_matches_slow_gradient_descent_oracle(self):
         rng = np.random.default_rng(21)
         theta_star = unit(rng, 4)
-        buf, X, p = fill_preference_buffer(rng, 200, 4, theta_star)
-        est = fit_logistic_window(buf, lam=0.1)
+        X, p = preference_rows(rng, 200, 4, theta_star)
+        theta_hat, grad_norm = fit_logistic_window(X, p, lam=0.1)
         oracle = gd_logistic_oracle(X, p, 0.1)
-        assert np.linalg.norm(est.theta_hat - oracle) < 1e-6
-        assert est.grad_norm <= 1e-8
+        assert np.linalg.norm(theta_hat - oracle) < 1e-6
+        assert grad_norm <= 1e-8
 
     def test_local_minimality_against_random_perturbations(self):
         rng = np.random.default_rng(22)
         theta_star = unit(rng, 5)
-        buf, X, p = fill_preference_buffer(rng, 120, 5, theta_star)
+        X, p = preference_rows(rng, 120, 5, theta_star)
         lam = 0.5
-        est = fit_logistic_window(buf, lam=lam)
+        theta_hat, _ = fit_logistic_window(X, p, lam=lam)
 
         def obj(theta):
             z = X @ theta
             return float(np.sum(softplus(z) - p * z) + 0.5 * lam * theta @ theta)
 
-        base = obj(est.theta_hat)
+        base = obj(theta_hat)
         for _ in range(100):
             v = unit(rng, 5)
-            assert obj(est.theta_hat + 1e-3 * v) >= base
+            assert obj(theta_hat + 1e-3 * v) >= base
 
     def test_warm_start_agrees_with_cold_start(self):
         rng = np.random.default_rng(23)
         theta_star = unit(rng, 3)
-        buf, _, _ = fill_preference_buffer(rng, 80, 3, theta_star)
-        cold = fit_logistic_window(buf, lam=0.1)
-        warm = fit_logistic_window(buf, lam=0.1, theta0=cold.theta_hat + 0.05)
-        assert np.linalg.norm(cold.theta_hat - warm.theta_hat) < 1e-6
+        X, p = preference_rows(rng, 80, 3, theta_star)
+        cold, _ = fit_logistic_window(X, p, lam=0.1)
+        warm, _ = fit_logistic_window(X, p, lam=0.1, theta0=cold + 0.05)
+        assert np.linalg.norm(cold - warm) < 1e-6
 
     def test_label_range_enforced(self):
-        buf = WindowBuffer(capacity=2, dim=2)
-        buf.push(np.array([1.0, 0.0]), 2.0)
         with pytest.raises(ContractError):
-            fit_logistic_window(buf, lam=0.1)
+            fit_logistic_window(np.array([[1.0, 0.0]]), np.array([2.0]), lam=0.1)
+
+    def test_shape_contract(self):
+        with pytest.raises(ContractError):
+            fit_logistic_window(np.zeros(3), np.zeros(3), lam=0.1)
+        with pytest.raises(ContractError):
+            fit_logistic_window(np.zeros((3, 2)), np.zeros(2), lam=0.1)
+        with pytest.raises(ContractError):
+            fit_logistic_window(np.zeros((3, 2)), np.zeros((3, 1)), lam=0.1)
 
     def test_bad_lam(self):
         with pytest.raises(ConfigError):
-            fit_logistic_window(WindowBuffer(capacity=2, dim=2), lam=-1.0)
+            fit_logistic_window(np.zeros((2, 2)), np.zeros(2), lam=-1.0)
 
     def test_convergence_error_carries_iterate(self, monkeypatch):
         rng = np.random.default_rng(24)
-        buf, _, _ = fill_preference_buffer(rng, 50, 3, unit(rng, 3))
+        X, p = preference_rows(rng, 50, 3, unit(rng, 3))
         monkeypatch.setattr("driftpref.numerics.NEWTON_MAX_ITER", 0)
         with pytest.raises(ConvergenceError, match="^window logistic fit") as err:
-            fit_logistic_window(buf, lam=0.1)
+            fit_logistic_window(X, p, lam=0.1)
         assert err.value.iterate.shape == (3,)
         assert err.value.residual > 0.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(25)
-        buf, _, _ = fill_preference_buffer(rng, 60, 4, unit(rng, 4))
-        a = fit_logistic_window(buf, lam=0.3)
-        b = fit_logistic_window(buf, lam=0.3)
-        assert np.array_equal(a.theta_hat, b.theta_hat)
+        X, p = preference_rows(rng, 60, 4, unit(rng, 4))
+        a, _ = fit_logistic_window(X, p, lam=0.3)
+        b, _ = fit_logistic_window(X, p, lam=0.3)
+        assert np.array_equal(a, b)
 
 
 class TestRidgeFit:

@@ -25,11 +25,14 @@ _PREF = RunConfig(H=200, drift_spread=True, fixed_context=True, delta_H=0.1,
                   seeds=(0, 1))
 
 # Small configs covering what the benchmark workloads do not: spread drift
-# with a shared context, the bandit's spread branch, an atlas run whose
-# phases are all skipped, an atlas run with spread drift whose two gated
-# phases accept once and reject once, and verify with a trial override.
+# with a shared context, the same loop from a warm-started policy, the
+# bandit's spread branch, an atlas run whose phases are all skipped, an atlas
+# run with spread drift whose two gated phases accept once and reject once,
+# and verify with a trial override.
 CASES = {
     "evodpo": replace(_PREF, mode="evodpo"),
+    "evodpo-warm": replace(_PREF, mode="evodpo", warm_scale=60.0, warm_pairs=400,
+                           seeds=(0,)),
     "fixed-ref": replace(_PREF, mode="fixed-ref"),
     "reward-bandit": RunConfig(mode="reward-bandit", H=500, drift_spread=True,
                                seeds=(0, 1)),

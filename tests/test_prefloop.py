@@ -175,7 +175,7 @@ class TestFitDpo:
         # fit_dpo and the window logistic fit minimize the same objective on
         # winner-minus-loser rows, so the fitted policy lands on the exact
         # Gibbs tilt of the reference by u(theta_hat)
-        from driftpref.estimator import WindowBuffer, fit_logistic_window
+        from driftpref.estimator import fit_logistic_window
 
         rng = np.random.default_rng(4)
         for trial in range(10):
@@ -188,8 +188,8 @@ class TestFitDpo:
             feats = feats_row[None, :, :]
             ref = random_row(rng, k)[None, :]
             pairs = []
-            buf = WindowBuffer(500, d)
-            for _ in range(500):
+            rows = np.empty((500, d))
+            for i in range(500):
                 first = int(rng.integers(k))
                 second = int((first + 1 + rng.integers(k - 1)) % k)
                 gap = float((feats_row[first] - feats_row[second]) @ theta_star)
@@ -198,10 +198,10 @@ class TestFitDpo:
                 else:
                     pairs.append(PreferencePair(0, second, first))
                 win = pairs[-1]
-                buf.push(feats_row[win.winner] - feats_row[win.loser], 1.0)
+                rows[i] = feats_row[win.winner] - feats_row[win.loser]
             beta = 0.6
             fit = fit_dpo(ref, feats, pairs, beta=beta, lam=0.1)
-            theta_hat = fit_logistic_window(buf, lam=0.1).theta_hat
+            theta_hat, _ = fit_logistic_window(rows, np.ones(500), lam=0.1)
             target = softmax_rows(
                 np.log(ref) + (feats_row @ theta_hat)[None, :] / beta, floor=0.0
             )

@@ -159,6 +159,22 @@ class TestMinMargin:
         with pytest.raises(ContractError):
             min_margin(thetas, feats)
 
+    def test_matches_per_step_loop(self):
+        # the batched margin equals the step-by-step computation bit for bit,
+        # for per-step and for shared feature tables
+        rng = np.random.default_rng(5)
+        T, K, d = 80, 5, 3
+        thetas = rng.standard_normal((T, d))
+        for feats in (rng.standard_normal((T, K, d)), rng.standard_normal((K, d))):
+            table = np.broadcast_to(feats, (T, K, d))
+            flags = switch_flags(thetas, feats)
+            best = np.inf
+            for t in range(T):
+                if not flags[t]:
+                    u = np.sort(table[t] @ thetas[t])
+                    best = min(best, float(u[-1] - u[-2]))
+            assert min_margin(thetas, feats) == best
+
 
 class TestNmr:
     def test_following_oracle_gives_zero(self):

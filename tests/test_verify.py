@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from driftpref.config import RunConfig
-from driftpref.env import DriftConfig, generate_path
+from driftpref.env import DriftConfig, generate_path, make_features, spread_drift_limits
 from driftpref.errors import ConfigError
 from driftpref.verify import (
+    _T_EST,
     FrozenBiasReport,
     LemmaReport,
     check_estimation_error,
@@ -24,6 +25,21 @@ from driftpref.verify import (
     scaling_base_config,
     self_normalized_rhs,
 )
+
+
+def min_eig_bisect(A, tol=1e-12):
+    """Smallest eigenvalue of a symmetric PSD matrix via Cholesky bisection."""
+    lo, hi = 0.0, float(np.min(np.diag(A)))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        try:
+            np.linalg.cholesky(A - mid * np.eye(A.shape[0]))
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+        if hi - lo < tol:
+            break
+    return lo
 
 
 class TestKlBoundCheck:
@@ -159,6 +175,26 @@ class TestEstimationErrorCheck:
     def test_horizon_must_exceed_window(self):
         with pytest.raises(ConfigError):
             check_estimation_error(runs=1, window=100, horizon=100)
+
+    def test_c_min_matches_bisection_oracle(self):
+        # one run with one check step (t = window): replay the run's draws
+        # and recompute the covariance floor of its window rows
+        window, horizon, K, d, lam, seed = 100, 340, 5, 5, 0.1, 3
+        rep = check_estimation_error(runs=1, checks_per_run=1, window=window,
+                                     horizon=horizon, K=K, d=d, lam=lam, seed=seed)
+        rng = np.random.default_rng([seed, _T_EST, 0])
+        feats = make_features(K, d, rng)
+        drift = spread_drift_limits(DriftConfig(1.0, 5.0, "sphere-walk", 0.2),
+                                    horizon, d)
+        generate_path(horizon, d, drift, rng)
+        first = rng.integers(0, K, size=horizon)
+        second = rng.integers(0, K - 1, size=horizon)
+        second = second + (second >= first)
+        X = (feats[first] - feats[second])[:window]
+        oracle = min_eig_bisect(X.T @ X + lam * np.eye(d))
+        assert rep.trials == 1
+        assert rep.constants["c_mean"] == rep.constants["c_min"]
+        assert abs(rep.constants["c_min"] * window - oracle) < 1e-8
 
 
 class TestRunStandardChecks:
