@@ -4,11 +4,13 @@ A small panel of anchor strategies (window size, ridge weight, exploration
 width) defines the action menu. Each round, every island samples an anchor
 from the shared sampling policy, jitters it locally, and scores the jittered
 candidate by simulated episodes of a drifting reward bandit (negative mean
-regret, higher is better). Scores stream into a rolling window whose
-quantile sets the pass threshold. At phase boundaries the top-s passed
-candidates are paired against weaker ones, the pairs drive the same gated
-reference-promotion machinery as the preference loop, and simple telemetry
-rules adjust the phase settings.
+regret, higher is better). All candidates of a round play the same
+episodes, so each proposal slot is scored as one batch: slot j of every
+island goes through one batched episode kernel call per episode. Scores
+stream into a rolling window whose quantile sets the pass threshold. At
+phase boundaries the top-s passed candidates are paired against weaker
+ones, the pairs drive the same gated reference-promotion machinery as the
+preference loop, and simple telemetry rules adjust the phase settings.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig
 from .env import ThetaPath, generate_path, make_drift
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ConvergenceError
 from .policies import gate_kl_estimate, inspector_score, softmax_rows
 from .prefloop import (
     PhaseReport,
@@ -93,17 +95,21 @@ def default_anchor_panel() -> tuple[list[StrategyCandidate], np.ndarray]:
 
 @dataclass
 class EpisodeResult:
-    """One reward-bandit episode's regret accounting."""
+    """One reward-bandit episode's regret accounting for a batch of candidates.
 
-    expected_best: np.ndarray
-    expected_chosen: np.ndarray
-    oracle_arm: np.ndarray
-    switch: np.ndarray
-    nmr: float
+    The oracle columns are shared by the batch; row i of expected_chosen
+    and entry i of nmr belong to candidate i.
+    """
+
+    expected_best: np.ndarray  # (horizon,)
+    expected_chosen: np.ndarray  # (B, horizon)
+    oracle_arm: np.ndarray  # (horizon,)
+    switch: np.ndarray  # (horizon,)
+    nmr: np.ndarray  # (B,)
 
 
 def run_reward_episode(
-    cand: StrategyCandidate,
+    cands: list[StrategyCandidate],
     K: int,
     d: int,
     horizon: int,
@@ -112,7 +118,13 @@ def run_reward_episode(
     rng_ctx: np.random.Generator,
     rng_noise: np.random.Generator,
 ) -> EpisodeResult:
-    """Play the sliding-window UCB policy against rewards drifting along path."""
+    """Play each candidate's sliding-window UCB policy against one episode.
+
+    Every candidate sees the same contexts, utilities and reward noise; only
+    the arms they pull differ. The per-candidate ridge states are stacked, so
+    one step of the batch is one stacked solve, and candidate i gets the same
+    bits as if it had played the episode alone.
+    """
     if K < 1 or horizon < 1:
         raise ConfigError("need K >= 1 and horizon >= 1")
     if path.thetas.shape != (horizon, d):
@@ -124,55 +136,72 @@ def run_reward_episode(
     # Everything that does not depend on the chosen arms is computed up front;
     # each (K, d) @ (d,) slice gives the same bits as the per-step product.
     utils = np.matmul(feats, path.thetas[:, :, None])[:, :, 0]
-    noise = rng_noise.standard_normal(horizon)
+    rewards = utils + noise_scale * rng_noise.standard_normal(horizon)[:, None]
     expected_best = utils.max(axis=1)
 
-    W = cand.window_size
-    A = cand.lambda_reg * np.eye(d)
-    b = np.zeros(d)
-    rhs = np.empty((d, K + 1))
-    arms = np.empty(horizon, dtype=int)
-    rewards = np.empty(horizon)
+    B = len(cands)
+    alpha = np.array([[c.ucb_alpha] for c in cands])
+    # Ab = [A | b]: each candidate's ridge matrix and reward-weighted sum. An
+    # observation y = [x, reward] adds x[:, None] * y, which gives b the bits
+    # of reward * x.
+    Ab = np.zeros((B, d, d + 1))
+    Ab[:, :, :d] = [c.lambda_reg * np.eye(d) for c in cands]
+    A = Ab[:, :, :d]
+    rhs = np.empty((B, d, K + 1))
+    # Observation rows y, step-major; the extra last row is zero. Row t of
+    # leaving indexes the observation that drops out of each candidate's
+    # window at step t, or the zero row while the window is not full
+    # (subtracting zeros changes no bit).
+    hist = np.zeros((horizon + 1, B, d + 1))
+    wins = np.array([c.window_size for c in cands])
+    steps = np.arange(horizon)[:, None]
+    leaving = np.where(steps >= wins, (steps - wins) * B + np.arange(B), horizon * B)
+    flat = hist.reshape(-1, d + 1)
+    # Fixed buffers with their outer-product views made once: the step loop
+    # is the hot path of a batch of one, the reward-bandit mode.
+    y = np.empty((B, d + 1))
+    old = np.empty((B, d + 1))
+    y_col, y_row = y[:, :d, None], y[:, None, :]
+    old_col, old_row = old[:, :d, None], old[:, None, :]
+    arms = np.empty((horizon, B), dtype=int)
     for t in range(horizon):
         ft = feats[t]
-        rhs[:, 0] = b
-        rhs[:, 1:] = ft.T
+        rhs[:, :, 0] = Ab[:, :, d]
+        rhs[:, :, 1:] = ft.T
         solved = np.linalg.solve(A, rhs)
-        widths = np.sqrt(np.maximum((ft.T * solved[:, 1:]).sum(axis=0), 0.0))
-        arm = int((ft @ solved[:, 0] + cand.ucb_alpha * widths).argmax())
-        reward = float(utils[t, arm]) + noise_scale * float(noise[t])
-        if t >= W:  # the window is full: drop its oldest observation
-            old_x = feats[t - W, arms[t - W]]
-            A -= old_x[:, None] * old_x
-            b -= rewards[t - W] * old_x
-        x = ft[arm]
-        A += x[:, None] * x
-        b += reward * x
+        widths = np.sqrt(np.maximum((ft.T * solved[:, :, 1:]).sum(axis=1), 0.0))
+        arm = (np.matmul(ft, solved[:, :, :1])[:, :, 0] + alpha * widths).argmax(axis=1)
+        y[:, :d] = ft.take(arm, axis=0)
+        y[:, d] = rewards[t].take(arm)
+        hist[t] = y
+        old[...] = flat.take(leaving[t], axis=0)
+        Ab -= old_col * old_row
+        Ab += y_col * y_row
         arms[t] = arm
-        rewards[t] = reward
-    expected_chosen = utils[np.arange(horizon), arms]
+    expected_chosen = utils[np.arange(horizon), arms.T]
 
     return EpisodeResult(
         expected_best=expected_best,
         expected_chosen=expected_chosen,
         oracle_arm=np.argmax(utils, axis=1),
         switch=switch_flags(path.thetas, feats),
-        nmr=nmr_of(expected_best, expected_chosen),
+        nmr=np.array([nmr_of(expected_best, row) for row in expected_chosen]),
     )
 
 
 def make_episode_scorer(cfg: RunConfig, seed: int):
-    """Deterministic candidate scorer: mean episode score for a round index.
+    """Deterministic batch scorer: mean episode score of each candidate.
 
     The evaluation streams depend on (seed, round, episode) only, never on
-    the island, so identical candidates get identical scores wherever they
-    are proposed. The drift paths of the latest round are kept, since every
-    candidate of a round plays against the same ones.
+    the island or on the rest of the batch, so identical candidates get
+    identical scores wherever they are proposed. The drift paths of the
+    latest round are kept, since every candidate of a round plays against
+    the same ones; each episode plays the whole batch in one kernel call.
     """
     drift = make_drift(cfg, cfg.eval_horizon)
     paths: dict[int, list[ThetaPath]] = {}
 
-    def scorer(cand: StrategyCandidate, round_idx: int) -> float:
+    def scorer(cands: list[StrategyCandidate], round_idx: int) -> list[float]:
         if round_idx not in paths:
             paths.clear()
             paths[round_idx] = [
@@ -180,15 +209,14 @@ def make_episode_scorer(cfg: RunConfig, seed: int):
                     [seed, _S_EVAL, round_idx, ep, _S_EPATH]))
                 for ep in range(cfg.eval_episodes)
             ]
-        total = 0.0
+        total = np.zeros(len(cands))
         for ep, path in enumerate(paths[round_idx]):
-            ep_res = run_reward_episode(
-                cand, cfg.K, cfg.d, cfg.eval_horizon, path, cfg.noise_scale,
+            total += run_reward_episode(
+                cands, cfg.K, cfg.d, cfg.eval_horizon, path, cfg.noise_scale,
                 np.random.default_rng([seed, _S_EVAL, round_idx, ep, _S_ECTX]),
                 np.random.default_rng([seed, _S_EVAL, round_idx, ep, _S_ENOISE]),
-            )
-            total += ep_res.nmr
-        return total / cfg.eval_episodes
+            ).nmr
+        return (total / cfg.eval_episodes).tolist()
 
     return scorer
 
@@ -226,43 +254,52 @@ class Telemetry:
 
 
 def island_step(
-    state: IslandState,
+    states: list[IslandState],
     policy_row: np.ndarray,
     anchors: list[StrategyCandidate],
     scorer,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     round_idx: int,
     n_proposals: int,
     next_index: int,
 ) -> list[IslandEntry]:
-    """Propose, jitter, and score candidates for one island and round.
+    """Propose, jitter, and score one round's candidates on every island.
 
-    The proposal spread doubles after 10 proposals without a new island-best
-    score (capped), which widens the search when an island stalls.
+    Proposal slot j of every island is drawn (island i from rngs[i]) and the
+    slot is scored as one batch; then each island records its entry and
+    updates its stall count before its next slot is drawn. The proposal
+    spread doubles after 10 proposals without a new island-best score
+    (capped), which widens the search when an island stalls. A solver
+    failure in a slot's batch flags every candidate of the slot, and a
+    non-finite score flags its own candidate. Entries come back island-major.
     """
-    entries: list[IslandEntry] = []
+    rows: list[list[IslandEntry]] = [[] for _ in states]
     for j in range(n_proposals):
-        anchor_idx = sample_categorical(rng, policy_row)
-        base = anchors[anchor_idx]
-        s = state.proposal_scale
-        w = int(np.clip(round(base.window_size * 2.0 ** rng.normal(0.0, 0.5 * s)), 1, 1024))
-        lam = float(np.clip(base.lambda_reg * 10.0 ** rng.normal(0.0, 0.3 * s), 1e-3, 10.0))
-        alpha = float(np.clip(base.ucb_alpha + rng.normal(0.0, 0.25 * s), 0.0, 2.0))
-        cand = StrategyCandidate(window_size=w, lambda_reg=lam, ucb_alpha=alpha)
-        failure = False
+        slot = []
+        for state, rng in zip(states, rngs):
+            anchor_idx = sample_categorical(rng, policy_row)
+            base = anchors[anchor_idx]
+            s = state.proposal_scale
+            w = int(np.clip(round(base.window_size * 2.0 ** rng.normal(0.0, 0.5 * s)), 1, 1024))
+            lam = float(np.clip(base.lambda_reg * 10.0 ** rng.normal(0.0, 0.3 * s), 1e-3, 10.0))
+            alpha = float(np.clip(base.ucb_alpha + rng.normal(0.0, 0.25 * s), 0.0, 2.0))
+            slot.append((anchor_idx, StrategyCandidate(window_size=w, lambda_reg=lam,
+                                                       ucb_alpha=alpha)))
         try:
-            score = float(scorer(cand, round_idx))
-            if not math.isfinite(score):
-                raise ValueError(f"scorer returned a non-finite value {score!r}")
-        except Exception:
-            failure = True
-            score = math.nan
-        entries.append(IslandEntry(
-            index=next_index + j, island=state.island_id, round=round_idx,
-            anchor=anchor_idx, candidate=cand, score=score, failure=failure,
-            cluster=cluster_of(cand),
-        ))
-        if not failure:
+            scores = [float(v) for v in scorer([cand for _, cand in slot], round_idx)]
+        except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError):
+            scores = [math.nan] * len(slot)
+        for i, (state, (anchor_idx, cand), score) in enumerate(
+                zip(states, slot, scores, strict=True)):
+            failure = not math.isfinite(score)
+            rows[i].append(IslandEntry(
+                index=next_index + i * n_proposals + j, island=state.island_id,
+                round=round_idx, anchor=anchor_idx, candidate=cand,
+                score=math.nan if failure else score, failure=failure,
+                cluster=cluster_of(cand),
+            ))
+            if failure:
+                continue
             if score > state.best_score:
                 state.best_score = score
                 state.non_improving = 0
@@ -271,7 +308,7 @@ def island_step(
                 if state.non_improving >= 10:
                     state.proposal_scale = min(state.proposal_scale * 2.0, _SCALE_CAP)
                     state.non_improving = 0
-    return entries
+    return [e for row in rows for e in row]
 
 
 def build_pairs_top_s(
@@ -360,7 +397,6 @@ class IslandRunResult:
     accepted_phases: int
     gated_phases: int
     ref_version: int
-    states: list[IslandState]
 
     def accept_rate(self) -> float | None:
         if self.gated_phases == 0:
@@ -399,18 +435,13 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
 
     for r in range(1, cfg.rounds + 1):
         policy_row = softmax_rows(anchor_feats[0] @ g_policy, floor=cfg.pi_min)
-        for state in states:
-            rng_i = np.random.default_rng([seed, _S_ISLAND, state.island_id, r])
-            new = island_step(
-                state, policy_row, anchors, scorer, rng_i, r,
-                cfg.proposals_per_island, next_index=len(entries),
-            )
-            entries.extend(new)
-            for e in new:
-                if not e.failure:
-                    score_window.append(e.score)
-        good = [e for e in entries[-cfg.islands * cfg.proposals_per_island:]
-                if not e.failure]
+        rngs = [np.random.default_rng([seed, _S_ISLAND, state.island_id, r])
+                for state in states]
+        new = island_step(states, policy_row, anchors, scorer, rngs, r,
+                          cfg.proposals_per_island, next_index=len(entries))
+        entries.extend(new)
+        good = [e for e in new if not e.failure]
+        score_window.extend(e.score for e in good)
         if good:
             top = max(good, key=lambda e: (e.score, -e.index))
             round_best[r - 1] = top.score
@@ -476,6 +507,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
             kl_hat = gate_kl_estimate(cand_rows[best], cand_rows[2])
             accepted = gate(delta_s, kl_hat, cfg)
             decision = "accept" if accepted else "reject"
+            ref_version_before = ref_version
             if accepted and best != 2:
                 g_ref = tilts[best]
                 ref_version += 1
@@ -487,7 +519,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                 phase_index=phase_index, n_pairs=len(all_pairs),
                 delta_s=float(delta_s), kl_hat=float(kl_hat), decision=decision,
                 accepted=accepted, chosen=("full", "half", "reference")[best],
-                ref_version_before=ref_version - (1 if accepted and best != 2 else 0),
+                ref_version_before=ref_version_before,
                 ref_version_after=ref_version, beta=cfg.beta, eps_s=cfg.eps_s,
                 delta_H=cfg.delta_H, gate_size=take,
             ))
@@ -499,7 +531,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
         round_best=round_best, round_best_anchor=round_best_anchor,
         round_phase=round_phase,
         final_metric=final_metric, accepted_phases=accepted_phases,
-        gated_phases=gated_phases, ref_version=ref_version, states=states,
+        gated_phases=gated_phases, ref_version=ref_version,
     )
 
 
@@ -522,12 +554,12 @@ def run_reward_bandit(cfg: RunConfig, seed: int) -> RewardRunResult:
     path = generate_path(cfg.H, cfg.d, make_drift(cfg, cfg.H),
                          np.random.default_rng([seed, _S_EPATH]))
     episode = run_reward_episode(
-        cand, cfg.K, cfg.d, cfg.H, path, cfg.noise_scale,
+        [cand], cfg.K, cfg.d, cfg.H, path, cfg.noise_scale,
         np.random.default_rng([seed, _S_ECTX]),
         np.random.default_rng([seed, _S_ENOISE]),
     )
-    regret_step = episode.expected_best - episode.expected_chosen
+    regret_step = episode.expected_best - episode.expected_chosen[0]
     return RewardRunResult(
-        episode=episode, nmr=episode.nmr,
+        episode=episode, nmr=float(episode.nmr[0]),
         regret_step=regret_step, regret_cum=np.cumsum(regret_step),
     )

@@ -28,7 +28,9 @@ _PREF = RunConfig(H=200, drift_spread=True, fixed_context=True, delta_H=0.1,
 # with a shared context, the same loop from a warm-started policy, the
 # bandit's spread branch, an atlas run whose phases are all skipped, an atlas
 # run with spread drift whose two gated phases accept once and reject once,
-# and verify with a trial override.
+# an atlas run whose three islands each double their proposal spread once
+# (one of them between two proposal slots of a round, which pins the
+# cross-island slot order), and verify with a trial override.
 CASES = {
     "evodpo": replace(_PREF, mode="evodpo"),
     "evodpo-warm": replace(_PREF, mode="evodpo", warm_scale=60.0, warm_pairs=400,
@@ -42,6 +44,9 @@ CASES = {
                               islands=2, proposals_per_island=2, phase_length=2,
                               eval_horizon=100, eval_episodes=2, delta_H=0.2,
                               seeds=(0,)),
+    "atlas-stall": RunConfig(mode="atlas", rounds=8, islands=3, proposals_per_island=3,
+                             phase_length=4, eval_horizon=60, eval_episodes=2,
+                             seeds=(0,)),
     "verify": RunConfig(mode="verify", trials=50, seeds=(0,)),
 }
 

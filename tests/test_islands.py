@@ -58,12 +58,49 @@ class TestAnchorPanel:
         assert {a.window_size for a in anchors} == {8, 20, 50, 200}
 
 
+def reference_episode(cand, K, d, horizon, path, noise_scale, rng_ctx, rng_noise):
+    """One candidate's episode played step by step.
+
+    This is the per-candidate loop the batched kernel replaced, kept as its
+    oracle: (expected_chosen, nmr).
+    """
+    feats = rng_ctx.standard_normal((horizon, K, d))
+    feats /= np.linalg.norm(feats, axis=2, keepdims=True)
+    utils = np.matmul(feats, path.thetas[:, :, None])[:, :, 0]
+    noise = rng_noise.standard_normal(horizon)
+    W = cand.window_size
+    A = cand.lambda_reg * np.eye(d)
+    b = np.zeros(d)
+    rhs = np.empty((d, K + 1))
+    arms = np.empty(horizon, dtype=int)
+    rewards = np.empty(horizon)
+    for t in range(horizon):
+        ft = feats[t]
+        rhs[:, 0] = b
+        rhs[:, 1:] = ft.T
+        solved = np.linalg.solve(A, rhs)
+        widths = np.sqrt(np.maximum((ft.T * solved[:, 1:]).sum(axis=0), 0.0))
+        arm = int((ft @ solved[:, 0] + cand.ucb_alpha * widths).argmax())
+        reward = float(utils[t, arm]) + noise_scale * float(noise[t])
+        if t >= W:
+            old_x = feats[t - W, arms[t - W]]
+            A -= old_x[:, None] * old_x
+            b -= rewards[t - W] * old_x
+        x = ft[arm]
+        A += x[:, None] * x
+        b += reward * x
+        arms[t] = arm
+        rewards[t] = reward
+    expected_chosen = utils[np.arange(horizon), arms]
+    return expected_chosen, nmr(utils.max(axis=1), expected_chosen)
+
+
 class TestRunRewardEpisode:
     def make(self, cand, seed, horizon=80, K=4, d=3):
         drift = DriftConfig(delta_min=0.2, delta_max=1.0, tv_budget=1e9)
         path = generate_path(horizon, d, drift, np.random.default_rng([seed, 0]))
         return run_reward_episode(
-            cand, K, d, horizon, path, 1.0,
+            [cand], K, d, horizon, path, 1.0,
             np.random.default_rng([seed, 1]),
             np.random.default_rng([seed, 2]),
         )
@@ -72,23 +109,24 @@ class TestRunRewardEpisode:
         cand = StrategyCandidate(10, 0.1, 0.5)
         path = generate_path(10, 3, DriftConfig(), np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            run_reward_episode(cand, 0, 3, 10, path, 1.0,
+            run_reward_episode([cand], 0, 3, 10, path, 1.0,
                                np.random.default_rng(1),
                                np.random.default_rng(2))
         with pytest.raises(ConfigError):
-            run_reward_episode(cand, 3, 3, 0, path, 1.0,
+            run_reward_episode([cand], 3, 3, 0, path, 1.0,
                                np.random.default_rng(1),
                                np.random.default_rng(2))
         with pytest.raises(ContractError):
-            run_reward_episode(cand, 3, 3, 9, path, 1.0,
+            run_reward_episode([cand], 3, 3, 9, path, 1.0,
                                np.random.default_rng(1),
                                np.random.default_rng(2))
 
     def test_accounting_identities(self):
         res = self.make(StrategyCandidate(10, 0.1, 0.5), seed=0)
-        assert np.all(res.expected_best >= res.expected_chosen - 1e-12)
+        assert res.expected_chosen.shape == (1, 80) and res.nmr.shape == (1,)
+        assert np.all(res.expected_best >= res.expected_chosen[0] - 1e-12)
         assert res.switch[0] == 0
-        assert abs(res.nmr - nmr(res.expected_best, res.expected_chosen)) < 1e-15
+        assert abs(res.nmr[0] - nmr(res.expected_best, res.expected_chosen[0])) < 1e-15
         assert res.oracle_arm.min() >= 0
 
     def test_deterministic(self):
@@ -97,6 +135,49 @@ class TestRunRewardEpisode:
         b = self.make(cand, seed=1)
         assert np.array_equal(a.expected_chosen, b.expected_chosen)
         assert a.nmr == b.nmr
+
+
+class TestBatchedEpisodeMatchesReferenceLoop:
+    """Each member of a batch plays exactly as it would alone, step by step."""
+
+    def check(self, cands, seed, K, d, horizon, noise_scale=1.0):
+        drift = DriftConfig(delta_min=0.2, delta_max=1.0, tv_budget=1e9)
+        path = generate_path(horizon, d, drift, np.random.default_rng([seed, 0]))
+        res = run_reward_episode(cands, K, d, horizon, path, noise_scale,
+                                 np.random.default_rng([seed, 1]),
+                                 np.random.default_rng([seed, 2]))
+        assert res.expected_chosen.shape == (len(cands), horizon)
+        for i, cand in enumerate(cands):
+            chosen, score = reference_episode(
+                cand, K, d, horizon, path, noise_scale,
+                np.random.default_rng([seed, 1]), np.random.default_rng([seed, 2]))
+            assert np.array_equal(res.expected_chosen[i], chosen), (seed, i, cand)
+            assert res.nmr[i] == score, (seed, i, cand)
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(7)
+        for seed in range(12):
+            K, d = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            horizon = int(rng.integers(20, 90))
+            cands = [
+                StrategyCandidate(1, 0.5, 1.0),
+                StrategyCandidate(horizon, 0.1, 0.5),
+                StrategyCandidate(horizon + 7, 2.0, 0.0),
+            ]
+            for _ in range(int(rng.integers(1, 5))):
+                cands.append(StrategyCandidate(
+                    int(rng.integers(1, horizon + 10)), float(10 ** rng.uniform(-3, 1)),
+                    float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))))
+            cands.append(cands[int(rng.integers(len(cands)))])  # a duplicate
+            order = rng.permutation(len(cands))
+            self.check([cands[i] for i in order], seed, K, d, horizon,
+                       noise_scale=float(rng.choice([0.0, 0.3, 1.0])))
+
+    def test_batch_of_one(self):
+        for seed, cand in enumerate([StrategyCandidate(1, 1.0, 1.0),
+                                     StrategyCandidate(20, 1.0, 1.0),
+                                     StrategyCandidate(500, 0.01, 0.0)]):
+            self.check([cand], seed, K=5, d=5, horizon=120)
 
 
 class TestSwLinucbSelect:
@@ -110,7 +191,7 @@ class TestSwLinucbSelect:
 
     def run(self, cand, seed, noise_scale=1.0):
         return run_reward_episode(
-            cand, self.K, self.d, self.horizon, self.path(seed), noise_scale,
+            [cand], self.K, self.d, self.horizon, self.path(seed), noise_scale,
             np.random.default_rng([seed, 1]),
             np.random.default_rng([seed, 2]),
         )
@@ -129,14 +210,14 @@ class TestSwLinucbSelect:
         for seed in range(5):
             res = self.run(StrategyCandidate(self.horizon, 1e-6, 0.0), seed,
                            noise_scale=0.0)
-            assert np.array_equal(res.expected_chosen[10:], res.expected_best[10:])
+            assert np.array_equal(res.expected_chosen[0, 10:], res.expected_best[10:])
 
     def test_symmetric_empty_history_ties_to_lowest(self):
         # Empty window: the estimate is zero, every greedy score ties, arm 0 wins.
         for seed in range(5):
             u = self.utilities(seed)
             res = self.run(StrategyCandidate(10, 0.5, 0.0), seed)
-            assert res.expected_chosen[0] == u[0, 0]
+            assert res.expected_chosen[0, 0] == u[0, 0]
             assert np.array_equal(res.expected_best, u.max(axis=1))
             assert np.array_equal(res.oracle_arm, np.argmax(u, axis=1))
 
@@ -151,48 +232,65 @@ class TestEpisodeScorer:
         scorer = make_episode_scorer(cfg, seed=0)
         cand = StrategyCandidate(12, 0.2, 0.7)
         same = StrategyCandidate(12, 0.2, 0.7)
-        assert scorer(cand, 3) == scorer(same, 3)
-        # and regardless of interleaved evaluations of other candidates
-        scorer(StrategyCandidate(40, 1.0, 0.1), 3)
-        assert scorer(cand, 3) == scorer(same, 3)
+        first, second = scorer([cand, same], 3)
+        assert first == second
+        # and regardless of the rest of the batch or interleaved evaluations
+        other = StrategyCandidate(40, 1.0, 0.1)
+        scorer([other], 4)
+        assert scorer([other, cand], 3)[1] == first
+        assert scorer([cand], 3) == [first]
+
+
+def single_island_scorer(fn):
+    """Batch scorer that scores each candidate of a slot with fn(cand, r)."""
+    return lambda cands, r: [fn(c, r) for c in cands]
 
 
 class TestIslandStep:
-    def run_step(self, scorer, n_proposals, seed=0):
+    def run_step(self, scorer, n_proposals, seed=0, n_islands=1):
         anchors, feats = default_anchor_panel()
-        state = IslandState(island_id=0)
+        states = [IslandState(island_id=i) for i in range(n_islands)]
         policy_row = np.full(len(anchors), 1.0 / len(anchors))
         entries = island_step(
-            state, policy_row, anchors, scorer,
-            np.random.default_rng(seed), round_idx=1,
-            n_proposals=n_proposals, next_index=5,
+            states, policy_row, anchors, scorer,
+            [np.random.default_rng([seed, i]) for i in range(n_islands)],
+            round_idx=1, n_proposals=n_proposals, next_index=5,
         )
-        return state, entries
+        return (states[0] if n_islands == 1 else states), entries
 
     def test_proposal_count_and_indexing(self):
-        state, entries = self.run_step(lambda c, r: 0.5, n_proposals=4)
+        state, entries = self.run_step(single_island_scorer(lambda c, r: 0.5),
+                                       n_proposals=4)
         assert len(entries) == 4
         assert [e.index for e in entries] == [5, 6, 7, 8]
         assert all(0 <= e.anchor < 16 for e in entries)
         assert all(e.cluster == cluster_of(e.candidate) for e in entries)
 
     def test_scorer_failure_flagged_not_raised(self):
-        def bad(cand, r):
-            raise RuntimeError("episode exploded")
+        def bad(cands, r):
+            raise np.linalg.LinAlgError("Singular matrix")
 
         state, entries = self.run_step(bad, n_proposals=3)
         assert all(e.failure for e in entries)
         assert all(math.isnan(e.score) for e in entries)
         assert state.best_score == -math.inf
 
+    def test_scorer_programming_error_propagates(self):
+        def broken(cands, r):
+            raise TypeError("scorer called with the wrong arguments")
+
+        with pytest.raises(TypeError):
+            self.run_step(broken, n_proposals=2)
+
     def test_non_finite_score_counts_as_failure(self):
-        state, entries = self.run_step(lambda c, r: math.inf, n_proposals=2)
+        state, entries = self.run_step(single_island_scorer(lambda c, r: math.inf),
+                                       n_proposals=2)
         assert all(e.failure for e in entries)
 
     def test_stalled_island_doubles_proposal_spread(self):
         # constant scores: the first proposal sets the best, the next ten
         # non-improving ones trigger one doubling
-        state, _ = self.run_step(lambda c, r: 1.0, n_proposals=11)
+        state, _ = self.run_step(single_island_scorer(lambda c, r: 1.0), n_proposals=11)
         assert state.proposal_scale == 2.0
         assert state.non_improving == 0
 
@@ -203,8 +301,50 @@ class TestIslandStep:
             calls["n"] += 1
             return float(calls["n"])
 
-        state, _ = self.run_step(rising, n_proposals=12)
+        state, _ = self.run_step(single_island_scorer(rising), n_proposals=12)
         assert state.proposal_scale == 1.0
+
+    def test_slots_batch_across_islands_in_island_major_order(self):
+        batches = []
+
+        def scorer(cands, r):
+            batches.append(list(cands))
+            return [c.ucb_alpha for c in cands]
+
+        states, entries = self.run_step(scorer, n_proposals=3, n_islands=4)
+        # one batch per slot, island i's candidate at position i
+        assert [len(b) for b in batches] == [4, 4, 4]
+        assert [e.index for e in entries] == list(range(5, 17))
+        assert [(e.island, e.index) for e in entries] == [
+            (i, 5 + i * 3 + j) for i in range(4) for j in range(3)]
+        for e in entries:
+            assert batches[(e.index - 5) % 3][e.island] == e.candidate
+        # each island proposes what it would have proposed on its own
+        for i in range(4):
+            alone = island_step(
+                [IslandState(island_id=i)], np.full(16, 1.0 / 16),
+                default_anchor_panel()[0], scorer, [np.random.default_rng([0, i])],
+                round_idx=1, n_proposals=3, next_index=0)
+            assert [e.candidate for e in alone] == [
+                e.candidate for e in entries if e.island == i]
+
+    def test_failures_stay_in_their_slot_or_candidate(self):
+        calls = {"n": 0}
+
+        def scorer(cands, r):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise FloatingPointError("overflow")
+            return [1.0, math.nan, 2.0][:len(cands)]
+
+        _, entries = self.run_step(scorer, n_proposals=3, n_islands=3)
+        failed = {(e.island, (e.index - 5) % 3) for e in entries if e.failure}
+        # slot 1 raised for every island; elsewhere only island 1's nan fails
+        assert failed == {(0, 1), (1, 1), (2, 1), (1, 0), (1, 2)}
+
+    def test_short_score_list_raises(self):
+        with pytest.raises(ValueError):
+            self.run_step(lambda cands, r: [0.0], n_proposals=1, n_islands=2)
 
 
 def make_entries(scores, anchors=None, failures=None):
