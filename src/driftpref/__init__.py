@@ -13,7 +13,6 @@ from .config import DRIFT_MODES, MODES, RunConfig, parse_config, parse_seeds
 from .env import (
     DriftConfig,
     ThetaPath,
-    advance_theta,
     generate_path,
     make_drift,
     make_features,

@@ -5,12 +5,17 @@ random walk: each step adds a perturbation with uniform direction and uniform
 magnitude, then projects back to the sphere. Total variation (the summed step
 distances) is capped by a budget; a step that would overflow the remaining
 budget is skipped, so once the budget runs out the parameter is frozen.
+generate_path draws all of a path's randomness first, step by step in the
+walk's order (a normal direction, redrawn once if exactly zero, then the
+magnitude), and then walks the steps, so it leaves the caller's stream where
+a draw-as-you-go walk would; frozen mode draws nothing past the start.
 
 Action feature vectors are unit rows and utilities are inner products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +23,7 @@ import numpy as np
 from .config import DRIFT_MODES, RunConfig
 from .errors import ConfigError, ContractError
 
-# Unit-norm slack for preconditions on theta.
+# Unit-norm slack for the rows of a realized path.
 _NORM_TOL = 1e-9
 
 
@@ -34,10 +39,9 @@ class DriftConfig:
     def __post_init__(self):
         if self.mode not in DRIFT_MODES:
             raise ConfigError(f"mode must be one of {DRIFT_MODES}, got {self.mode!r}")
-        if not 0.0 <= self.delta_min <= self.delta_max:
-            raise ConfigError(
-                f"need 0 <= delta_min <= delta_max, got [{self.delta_min}, {self.delta_max}]"
-            )
+        if not 0.0 <= self.delta_min <= self.delta_max < math.inf:
+            raise ConfigError("need 0 <= delta_min <= delta_max < inf, "
+                              f"got [{self.delta_min}, {self.delta_max}]")
         if self.tv_budget < 0.0:
             raise ConfigError(f"tv_budget must be nonnegative, got {self.tv_budget}")
 
@@ -54,47 +58,6 @@ class ThetaPath:
         return self.thetas.shape[0]
 
 
-def _check_unit(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    n = np.linalg.norm(theta)
-    if abs(n - 1.0) > _NORM_TOL:
-        raise ContractError(f"theta must have unit norm, got norm {n!r}")
-    return theta
-
-
-def advance_theta(
-    theta: np.ndarray,
-    cfg: DriftConfig,
-    rng: np.random.Generator,
-    remaining_tv: float,
-) -> np.ndarray:
-    """One drift step. Returns the next unit-norm parameter.
-
-    Frozen mode returns the input unchanged and consumes no randomness.
-    A step whose displacement would exceed the remaining budget is discarded
-    (the draw is still consumed, keeping streams aligned).
-    """
-    theta = _check_unit(theta)
-    if cfg.mode == "frozen":
-        return theta.copy()
-    d = theta.shape[0]
-    direction = rng.standard_normal(d)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:  # measure-zero; retry once rather than divide by zero
-        direction = rng.standard_normal(d)
-        norm = np.linalg.norm(direction)
-    direction /= norm
-    magnitude = rng.uniform(cfg.delta_min, cfg.delta_max)
-    proposal = theta + magnitude * direction
-    pnorm = np.linalg.norm(proposal)
-    if pnorm == 0.0:
-        return theta.copy()
-    proposal /= pnorm
-    if np.linalg.norm(proposal - theta) > remaining_tv:
-        return theta.copy()
-    return proposal
-
-
 def generate_path(
     horizon: int,
     dim: int,
@@ -107,11 +70,40 @@ def generate_path(
     theta0 = rng.standard_normal(dim)
     thetas = np.empty((horizon, dim))
     thetas[0] = theta0 / np.linalg.norm(theta0)
-    tv_used = 0.0
-    for t in range(1, horizon):
-        remaining = cfg.tv_budget - tv_used
-        thetas[t] = advance_theta(thetas[t - 1], cfg, rng, remaining)
-        tv_used += float(np.linalg.norm(thetas[t] - thetas[t - 1]))
+    if cfg.mode == "frozen":
+        thetas[1:] = thetas[0]
+        return ThetaPath(thetas=thetas, tv_used=0.0, tv_budget=cfg.tv_budget)
+    steps = np.empty((horizon - 1, dim))
+    start = rng.bit_generator.state
+    for retry_zero in (False, True):  # the retry pass replays a pass that drew a zero direction
+        u = []
+        for row in steps:
+            rng.standard_normal(out=row)
+            if retry_zero and row.dot(row) == 0.0:
+                rng.standard_normal(out=row)
+            u.append(rng.random())
+        sq = np.vecdot(steps, steps)
+        if retry_zero or sq.all():
+            break
+        rng.bit_generator.state = start
+    # Bit for bit rng.uniform(delta_min, delta_max) and the 1-D np.linalg.norm
+    # (sqrt of the dot product); np.linalg.norm(axis=1) rounds differently.
+    steps /= np.sqrt(sq)[:, None]
+    steps *= (cfg.delta_min + (cfg.delta_max - cfg.delta_min) * np.array(u))[:, None]
+    theta, tv_used = thetas[0], 0.0
+    for t, step in enumerate(steps, 1):
+        p = theta + step
+        pnorm = math.sqrt(p.dot(p))
+        if pnorm != 0.0:
+            p /= pnorm
+            diff = p - theta
+            dist = math.sqrt(diff.dot(diff))
+            if not dist > cfg.tv_budget - tv_used:
+                theta, tv_used = p, tv_used + dist
+        thetas[t] = theta
+    off = np.abs(np.linalg.norm(thetas, axis=1) - 1.0)
+    if not np.all(off <= _NORM_TOL):
+        raise ContractError(f"theta must have unit norm, got a row off by {float(np.max(off))!r}")
     return ThetaPath(thetas=thetas, tv_used=tv_used, tv_budget=cfg.tv_budget)
 
 
@@ -135,7 +127,7 @@ def spread_drift_limits(cfg: DriftConfig, horizon: int, dim: int) -> DriftConfig
     With the raw limits, the budget would be consumed within a few steps.
     Scaling both limits by a common factor spreads roughly 90% of the budget
     evenly over the horizon (first-order small-step approximation; the exact
-    cap is still enforced by the budget check in advance_theta).
+    cap is still enforced by generate_path's budget check).
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")

@@ -184,6 +184,19 @@ def local_window_variation(thetas: np.ndarray, window: int) -> np.ndarray:
     return csum[1:] - csum[np.maximum(np.arange(T) - window, 0) + 1]
 
 
+def _window_distance_sums(thetas: np.ndarray, window: int) -> np.ndarray:
+    """Per step t, the summed distance from theta_t to each of its <= W predecessors."""
+    T = thetas.shape[0]
+    sums = np.empty(T)
+    for t in range(min(window, T)):
+        sums[t] = np.linalg.norm(thetas[t] - thetas[:t], axis=1).sum()
+    if T > window:
+        past = np.lib.stride_tricks.sliding_window_view(thetas[:-1], window, axis=0)
+        diffs = thetas[window:, None, :] - past.transpose(0, 2, 1)  # (T - W, W, d)
+        sums[window:] = np.linalg.norm(diffs, axis=2).sum(axis=1)
+    return sums
+
+
 def check_local_variation(
     runs: int = 50,
     horizon: int = 400,
@@ -208,12 +221,8 @@ def check_local_variation(
         drift = spread_drift_limits(base, horizon, d)
         path = generate_path(horizon, d, drift, rng)
         v_local = local_window_variation(path.thetas, window)
-        for t in range(horizon):
-            lo = max(0, t - window)
-            lhs = float(
-                np.linalg.norm(path.thetas[t] - path.thetas[lo:t], axis=1).sum()
-            )
-            rhs = window * v_local[t]
+        for lhs, v in zip(_window_distance_sums(path.thetas, window).tolist(), v_local):
+            rhs = window * v
             checked += 1
             if rhs > 0.0:
                 max_ratio = max(max_ratio, lhs / rhs)

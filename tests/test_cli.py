@@ -330,6 +330,13 @@ class TestMainWiring:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_infinite_drift_limit_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("mode = reward-bandit\nH = 50\nseeds = 0\ndelta_max = inf\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_requires_seeds(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path)]) == 2
         assert "--seeds" in capsys.readouterr().err

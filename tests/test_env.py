@@ -1,11 +1,13 @@
 """Drift process, contexts, and reward sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
 from driftpref.env import (
     DriftConfig,
-    advance_theta,
+    ThetaPath,
     generate_path,
     make_features,
     spread_drift_limits,
@@ -13,11 +15,6 @@ from driftpref.env import (
 from driftpref.config import RunConfig
 from driftpref.errors import ConfigError, ContractError
 from driftpref.islands import StrategyCandidate, run_reward_episode
-
-
-def unit(rng, d):
-    v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)
 
 
 class TestDriftConfig:
@@ -42,54 +39,181 @@ class TestDriftConfig:
         with pytest.raises(ConfigError):
             DriftConfig(tv_budget=-1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (math.inf, math.inf),
+                                        (1.0, math.nan)])
+    def test_limits_must_be_finite(self, lo, hi):
+        with pytest.raises(ConfigError):
+            DriftConfig(delta_min=lo, delta_max=hi)
+        with pytest.raises(ConfigError):
+            RunConfig(delta_min=lo, delta_max=hi)
+
+
+def reference_path(horizon, dim, cfg, rng):
+    """The drift walk drawn and taken one step at a time.
+
+    This is the per-step loop that generate_path's draw-then-walk form
+    replaced, kept as its oracle: a ThetaPath with the same bits.
+    """
+    theta0 = rng.standard_normal(dim)
+    thetas = np.empty((horizon, dim))
+    thetas[0] = theta0 / np.linalg.norm(theta0)
+    tv_used = 0.0
+    for t in range(1, horizon):
+        theta = thetas[t - 1]
+        thetas[t] = theta
+        if cfg.mode == "frozen":
+            continue
+        direction = rng.standard_normal(dim)
+        norm = np.linalg.norm(direction)
+        if norm == 0.0:
+            direction = rng.standard_normal(dim)
+            norm = np.linalg.norm(direction)
+        direction /= norm
+        proposal = theta + rng.uniform(cfg.delta_min, cfg.delta_max) * direction
+        pnorm = np.linalg.norm(proposal)
+        if pnorm == 0.0:
+            continue
+        proposal /= pnorm
+        if np.linalg.norm(proposal - theta) > cfg.tv_budget - tv_used:
+            continue
+        thetas[t] = proposal
+        tv_used += float(np.linalg.norm(thetas[t] - thetas[t - 1]))
+    return ThetaPath(thetas=thetas, tv_used=tv_used, tv_budget=cfg.tv_budget)
+
+
+class ZeroDirectionRng:
+    """A generator whose n-th standard_normal call comes out exactly zero.
+
+    Its bit_generator.state also rewinds the call count, so a caller that
+    replays its draws sees the zero again at the same call.
+    """
+
+    def __init__(self, seed, zero_call):
+        self.rng = np.random.default_rng(seed)
+        self.zero_call = zero_call
+        self.calls = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state, self.calls
+
+    @state.setter
+    def state(self, value):
+        self.rng.bit_generator.state, self.calls = value
+
+    def standard_normal(self, size=None, out=None):
+        self.calls += 1
+        x = self.rng.standard_normal(size, out=out)
+        if self.calls == self.zero_call:
+            x[...] = 0.0
+        return x
+
+    def random(self):
+        return self.rng.random()
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+
+def assert_same_path(a, b, rng_a, rng_b):
+    assert a.thetas.tobytes() == b.thetas.tobytes()
+    assert a.tv_used == b.tv_used
+    assert a.tv_budget == b.tv_budget
+    # callers draw from the same stream after the path
+    assert rng_a.random() == rng_b.random()
+
+
+class TestPathOracle:
+    def cases(self):
+        rng = np.random.default_rng(2024)
+        for i in range(48):
+            dim = int(rng.integers(1, 9))
+            horizon = int(rng.integers(1, 601))
+            kind = i % 6
+            if kind == 0:  # budget binds mid-path
+                cfg = DriftConfig(0.5, 3.0, tv_budget=float(rng.uniform(0.5, 4.0)))
+            elif kind == 1:
+                cfg = DriftConfig(1.0, 5.0, tv_budget=0.0)
+            elif kind == 2:
+                cfg = DriftConfig(0.0, 0.0)
+            elif kind == 3:
+                cfg = DriftConfig(mode="frozen")
+            elif kind == 4:
+                cfg = spread_drift_limits(DriftConfig(1.0, 5.0, tv_budget=4.0),
+                                          horizon, dim)
+            else:
+                lo = float(rng.uniform(0.0, 1.0))
+                cfg = DriftConfig(lo, lo + float(rng.uniform(0.0, 2.0)), tv_budget=1e9)
+            yield i, horizon, dim, cfg
+        yield 48, 1, 3, DriftConfig()
+        yield 49, 600, 1, DriftConfig(0.1, 0.5, tv_budget=20.0)
+
+    def test_matches_per_step_walk(self):
+        budget_bound = 0
+        for i, horizon, dim, cfg in self.cases():
+            rng_a, rng_b = np.random.default_rng([i, 7]), np.random.default_rng([i, 7])
+            a = generate_path(horizon, dim, cfg, rng_a)
+            b = reference_path(horizon, dim, cfg, rng_b)
+            assert_same_path(a, b, rng_a, rng_b)
+            moves = np.any(np.diff(a.thetas, axis=0) != 0.0, axis=1)
+            budget_bound += bool(np.any(moves) and not np.all(moves))
+        assert budget_bound >= 5  # some budgets do bind mid-path
+
+    def test_zero_direction_is_drawn_again(self):
+        cfg = DriftConfig(0.1, 0.5)
+        for zero_call in (2, 5, 9):  # call 1 draws theta0
+            rng_a, rng_b = ZeroDirectionRng(3, zero_call), ZeroDirectionRng(3, zero_call)
+            a = generate_path(12, 3, cfg, rng_a)
+            b = reference_path(12, 3, cfg, rng_b)
+            assert rng_a.calls == 13  # 11 directions, one drawn twice
+            assert_same_path(a, b, rng_a, rng_b)
+
 
 class TestAdvanceTheta:
+    """The per-step drift law, seen through generate_path."""
+
     def test_output_unit_norm(self):
-        rng = np.random.default_rng(0)
-        cfg = DriftConfig(delta_min=0.1, delta_max=2.0)
-        theta = unit(rng, 6)
-        for _ in range(200):
-            theta = advance_theta(theta, cfg, rng, 1e9)
-            assert abs(np.linalg.norm(theta) - 1.0) < 1e-12
+        cfg = DriftConfig(delta_min=0.1, delta_max=2.0, tv_budget=1e9)
+        path = generate_path(200, 6, cfg, np.random.default_rng(0))
+        assert np.all(np.abs(np.linalg.norm(path.thetas, axis=1) - 1.0) < 1e-12)
 
     def test_zero_magnitude_keeps_theta(self):
-        rng = np.random.default_rng(1)
         cfg = DriftConfig(delta_min=0.0, delta_max=0.0)
-        theta = unit(rng, 4)
-        out = advance_theta(theta, cfg, rng, 1e9)
-        assert np.allclose(out, theta, atol=1e-12)
+        path = generate_path(20, 4, cfg, np.random.default_rng(1))
+        assert np.allclose(path.thetas, path.thetas[0], atol=1e-12)
 
     def test_frozen_returns_copy_without_randomness(self):
         cfg = DriftConfig(mode="frozen")
-        theta = np.array([1.0, 0.0, 0.0])
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
-        out = advance_theta(theta, cfg, rng_a, 1e9)
-        assert np.array_equal(out, theta)
-        assert out is not theta
-        # no draws consumed: both generators stay aligned
+        path = generate_path(30, 3, cfg, rng_a)
+        theta0 = rng_b.standard_normal(3)
+        assert np.array_equal(path.thetas, np.tile(theta0 / np.linalg.norm(theta0), (30, 1)))
+        assert path.tv_used == 0.0
+        # no draws past theta0: both generators stay aligned
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_non_unit_input_rejected(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(ContractError):
-            advance_theta(np.array([1.0, 1.0]), DriftConfig(), rng, 1e9)
+        # Proposals this long overflow their norm and leave the sphere; the
+        # path's unit-row contract turns that into an error, not a result.
+        cfg = DriftConfig(delta_min=1e300, delta_max=1e300)
+        with np.errstate(over="ignore"), pytest.raises(ContractError):
+            generate_path(5, 2, cfg, np.random.default_rng(2))
 
     def test_budget_discard_freezes_step(self):
-        rng = np.random.default_rng(3)
-        cfg = DriftConfig(delta_min=1.0, delta_max=1.0)
-        theta = unit(rng, 5)
-        out = advance_theta(theta, cfg, rng, remaining_tv=1e-12)
-        assert np.array_equal(out, theta)
+        cfg = DriftConfig(delta_min=1.0, delta_max=1.0, tv_budget=1e-12)
+        path = generate_path(10, 5, cfg, np.random.default_rng(3))
+        assert np.all(path.thetas == path.thetas[0])
+        assert path.tv_used == 0.0
 
     def test_budget_discard_still_consumes_draws(self):
         # discarded and undiscarded steps leave the stream in the same state
-        cfg = DriftConfig(delta_min=1.0, delta_max=1.0)
-        theta = np.array([1.0, 0.0, 0.0, 0.0])
         rng_a = np.random.default_rng(11)
         rng_b = np.random.default_rng(11)
-        advance_theta(theta, cfg, rng_a, remaining_tv=0.0)
-        advance_theta(theta, cfg, rng_b, remaining_tv=1e9)
+        a = generate_path(10, 4, DriftConfig(1.0, 1.0, tv_budget=0.0), rng_a)
+        b = generate_path(10, 4, DriftConfig(1.0, 1.0, tv_budget=1e9), rng_b)
+        assert a.tv_used == 0.0 < b.tv_used
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
 

@@ -11,6 +11,7 @@ from driftpref.env import DriftConfig, generate_path, make_features, spread_drif
 from driftpref.errors import ConfigError
 from driftpref.verify import (
     _T_EST,
+    _window_distance_sums,
     FrozenBiasReport,
     LemmaReport,
     check_estimation_error,
@@ -108,6 +109,21 @@ class TestLocalWindowVariation:
             local_window_variation(np.zeros((5, 2)), 0)
         with pytest.raises(ConfigError):
             local_window_variation(np.zeros(5), 2)
+
+
+class TestWindowDistanceSums:
+    @pytest.mark.parametrize("horizon, window", [
+        (10, 16), (16, 16), (17, 16), (40, 1), (1, 1), (1, 4), (120, 9), (300, 16),
+    ])
+    def test_matches_per_step_loop(self, horizon, window):
+        # check_local_variation's per-step left-hand side, bit for bit
+        rng = np.random.default_rng([horizon, window])
+        thetas = generate_path(horizon, 4, DriftConfig(0.05, 0.5, tv_budget=1e9), rng).thetas
+        want = [float(np.linalg.norm(thetas[t] - thetas[max(0, t - window):t], axis=1).sum())
+                for t in range(horizon)]
+        got = _window_distance_sums(thetas, window)
+        assert got.shape == (horizon,)
+        assert got.tolist() == want
 
 
 class TestLocalVariationCheck:
