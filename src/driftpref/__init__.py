@@ -60,7 +60,6 @@ from .regret import (
     RegretLedger,
     min_margin,
     nmr,
-    oracle_action,
     regret_decompose,
     slope_fit,
     switch_flags,

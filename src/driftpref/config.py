@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -101,8 +100,8 @@ class RunConfig:
         for name, val in nonneg:
             if val < 0.0:
                 raise ConfigError(f"{name} must be nonnegative, got {val}")
-        if not 0.0 <= self.delta_min <= self.delta_max < math.inf:
-            raise ConfigError("need 0 <= delta_min <= delta_max < inf, "
+        if not 0.0 <= self.delta_min <= self.delta_max <= 1e150:  # |step|^2 stays finite
+            raise ConfigError("need 0 <= delta_min <= delta_max <= 1e150, "
                               f"got [{self.delta_min}, {self.delta_max}]")
         if not 0.0 < self.kappa <= 1.0:
             raise ConfigError(f"kappa must lie in (0, 1], got {self.kappa}")

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError
 
 
 def sigmoid(z):
-    """Logistic function, stable for large |z|."""
+    """Logistic function, stable for large |z|: 1/(1 + e) or e/(1 + e), e = exp(-|z|)."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out
@@ -39,9 +38,12 @@ NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 500
 
 
-def _logistic_objective(theta, X, p, lam):
+def _logistic_eval(theta, X, p, lam):
+    """(objective, sigmoid(z)) at theta, from one z = X @ theta and one exp(-|z|)."""
     z = X @ theta
-    return float(np.sum(softplus(z) - p * z) + 0.5 * lam * theta @ theta)
+    e = np.exp(-np.abs(z))  # softplus(z) = max(z, 0) + log1p(e), as in softplus
+    obj = float(np.sum(np.maximum(z, 0.0) + np.log1p(e) - p * z) + 0.5 * lam * theta @ theta)
+    return obj, np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def newton_logistic(X, p, lam, name, theta0=None):
@@ -49,23 +51,25 @@ def newton_logistic(X, p, lam, name, theta0=None):
 
     Damped Newton with Armijo backtracking and a gradient-step fallback. The
     problem is strictly convex for lam > 0, so the minimizer is unique and
-    the solve is deterministic. Returns (theta, residual gradient norm).
+    the solve is deterministic. One X @ theta per iterate gives its objective
+    and sigmoid; the accepted Armijo candidate (or the gradient step) carries
+    both into the next Newton step. Returns (theta, residual gradient norm).
     Raises ConvergenceError, with name in its message, if the gradient norm
     has not reached NEWTON_TOL within NEWTON_MAX_ITER Newton steps.
     """
     d = X.shape[1]
     theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    obj = _logistic_objective(theta, X, p, lam)
+    ridge = lam * np.eye(d)
+    obj, s = _logistic_eval(theta, X, p, lam)
     for newton_step in range(NEWTON_MAX_ITER + 1):
-        s = sigmoid(X @ theta)
         grad = X.T @ (s - p) + lam * theta
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.sqrt(grad.dot(grad))  # the bits of np.linalg.norm
         if grad_norm <= NEWTON_TOL:
             return theta, grad_norm
         if newton_step == NEWTON_MAX_ITER:
             raise ConvergenceError(f"{name} did not converge", theta, grad_norm)
         w = s * (1.0 - s)
-        hess = (X * w[:, None]).T @ X + lam * np.eye(d)
+        hess = (X * w[:, None]).T @ X + ridge
         try:
             direction = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
@@ -81,12 +85,12 @@ def newton_logistic(X, p, lam, name, theta0=None):
         slack = 1e-12 * max(1.0, abs(obj))
         for _ in range(60):
             cand = theta + step * direction
-            cand_obj = _logistic_objective(cand, X, p, lam)
+            cand_obj, cand_s = _logistic_eval(cand, X, p, lam)
             if cand_obj <= obj + 1e-4 * step * slope + slack:
-                theta, obj = cand, cand_obj
+                theta, obj, s = cand, cand_obj, cand_s
                 break
             step *= 0.5
         else:
             step = 1.0 / (0.25 * float(np.sum(X * X)) + lam)  # inverse smoothness
             theta = theta - step * grad
-            obj = _logistic_objective(theta, X, p, lam)
+            obj, s = _logistic_eval(theta, X, p, lam)

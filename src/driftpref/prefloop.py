@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,7 +176,7 @@ def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
     """One inverse-CDF draw; consumes exactly one uniform."""
     cdf = np.cumsum(probs)
     u = rng.uniform() * cdf[-1]
-    return int(np.searchsorted(cdf, u, side="right").clip(0, probs.shape[0] - 1))
+    return min(int(np.searchsorted(cdf, u, side="right")), probs.shape[0] - 1)
 
 
 @dataclass
@@ -186,7 +186,6 @@ class PrefRunResult:
     ledger: RegretLedger
     phases: list[PhaseReport]
     evolving: bool
-    window: int
     tv_used: float
     ref_version: int
     accepted_phases: int
@@ -290,9 +289,9 @@ def run_preference_loop(
 
     cum = 0.0
     phase_index = 0
+    block_end = 0
     for t in range(H):
         phi = feats_all[t]
-        theta = path.thetas[t]
         u_true = utils[t]
 
         if t > 0:
@@ -301,7 +300,16 @@ def run_preference_loop(
                 rows[lo:t], labels[lo:t], cfg.lam, theta0=theta_hat)
 
         learner = softmax_rows(phi @ (g_ref + theta_hat / cfg.beta), floor=floor)
-        comparator = softmax_rows(phi @ (g_ref + theta / cfg.beta_ref), floor=floor)
+        if t == block_end:
+            # g_ref holds until the next gated boundary, so the comparator
+            # rows up to it are one batched softmax (per-step bits, as above)
+            block_start = t
+            block_end = H if phase_index >= max_phases else t + cfg.phase_length
+            vecs = g_ref + path.thetas[t:block_end] / cfg.beta_ref
+            comparators = softmax_rows(
+                np.matmul(feats_all[t:block_end], vecs[:, :, None])[:, :, 0],
+                floor=floor)
+        comparator = comparators[t - block_start]
 
         # ledger before any phase update: the reference is constant in-phase
         bias, error = regret_decompose(u_true, learner, comparator)
@@ -343,7 +351,6 @@ def run_preference_loop(
         ledger=led,
         phases=phases,
         evolving=evolving,
-        window=W,
         tv_used=path.tv_used,
         ref_version=ref_version,
         accepted_phases=accepted_phases,
@@ -375,7 +382,7 @@ def _run_phase(
     ref_sub = softmax_rows(
         np.einsum("nkd,d->nk", feats_sub, g_ref), floor=cfg.pi_min
     )
-    local_pairs = [replace(p, context_id=pos[p.context_id]) for p in pairs]
+    local_pairs = [PreferencePair(pos[p.context_id], p.winner, p.loser) for p in pairs]
 
     fit_full = fit_dpo(ref_sub, feats_sub, local_pairs, cfg.beta,
                        lam=cfg.dpo_lam, floor=cfg.pi_min)

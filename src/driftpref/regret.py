@@ -41,17 +41,6 @@ class RegretLedger:
     def cumulative_bias(self) -> float:
         return float(self.bias.sum())
 
-    def cumulative_error(self) -> float:
-        return float(self.error.sum())
-
-
-def oracle_action(u: np.ndarray) -> int:
-    """Index of the highest utility; ties resolve to the lowest index."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.shape[0] < 1:
-        raise ContractError("utilities must be a nonempty row")
-    return int(np.argmax(u))
-
 
 def regret_decompose(
     u: np.ndarray,
@@ -61,10 +50,11 @@ def regret_decompose(
     """Split one step's regret into (reference bias, learning error).
 
     bias = J(oracle) - J(comparator), error = J(comparator) - J(played);
-    their sum is the plain per-step regret by construction.
+    their sum is the plain per-step regret by construction. The oracle is
+    np.argmax of u (ties to the lowest index, as in ledger.oracle_arm).
     """
     u = np.asarray(u, dtype=float)
-    best = float(u[oracle_action(u)])
+    best = float(u[np.argmax(u)])
     j_kl = float(np.asarray(pi_kl, dtype=float) @ u)
     j_pi = float(np.asarray(pi, dtype=float) @ u)
     return best - j_kl, j_kl - j_pi

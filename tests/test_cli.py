@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,17 @@ class TestMainWiring:
         cfg.write_text("mode = reward-bandit\nH = 50\nseeds = 0\ndelta_max = inf\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_drift_limit_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("mode = reward-bandit\nH = 50\nseeds = 0\n"
+                       "delta_min = 1e300\ndelta_max = 1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "delta_max" in err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_requires_seeds(self, tmp_path, capsys):

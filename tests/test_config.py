@@ -47,6 +47,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="delta_min"):
             RunConfig(delta_min=2.0, delta_max=1.0)
 
+    def test_huge_drift_limit_rejected(self):
+        RunConfig(delta_min=1e150, delta_max=1e150)  # fine
+        with pytest.raises(ConfigError, match="delta_max <= 1e150"):
+            RunConfig(delta_min=1.0, delta_max=1e300)
+
     def test_empty_seeds(self):
         with pytest.raises(ConfigError, match="seeds"):
             RunConfig(seeds=())

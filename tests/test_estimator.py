@@ -64,8 +64,8 @@ class TestWindowBuffer:
             mode="evodpo", K=5, d=5, H=60, phase_length=20, gate_size=32,
             drift_mode="sphere-walk", delta_min=0.05, delta_max=0.2, V_T=1e9,
         )
-        res = run_preference_loop(cfg, seed=0)
-        return fits, res.window
+        run_preference_loop(cfg, seed=0)
+        return fits, window_size(cfg.H, cfg.kappa)
 
     def test_eviction_keeps_last_capacity_entries_in_order(self, monkeypatch):
         # each fit's rows are the previous fit's rows, less the oldest once W

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from driftpref.config import RunConfig
+from driftpref.env import generate_path, make_drift
 from driftpref.errors import ConfigError, ContractError, ConvergenceError
+from driftpref.estimator import window_size
 from driftpref.numerics import sigmoid, softplus
 from driftpref.policies import gate_kl_estimate, inspector_score, softmax_rows
 from driftpref.prefloop import (
@@ -375,7 +377,7 @@ class TestRunPreferenceLoop:
         assert led.switch[0] == 0
         assert set(np.unique(led.switch)) <= {0, 1}
         assert np.array_equal(led.phase, 1 + np.arange(60) // 20)
-        assert res.window == math.ceil(60 ** (2.0 / 3.0))
+        assert window_size(60, small_cfg().kappa) == math.ceil(60 ** (2.0 / 3.0))
 
     def test_deterministic_reruns(self):
         cfg = small_cfg()
@@ -388,6 +390,32 @@ class TestRunPreferenceLoop:
         assert np.array_equal(a.theta_hat_final, b.theta_hat_final)
         assert [p.decision for p in a.phases] == [p.decision for p in b.phases]
         assert [p.delta_s for p in a.phases] == [p.delta_s for p in b.phases]
+
+    def test_comparator_is_the_per_step_softmax(self):
+        # one accepted phase, then the cap: the comparator rows of each block
+        # are a batched softmax with the bits of the per-step one
+        cfg = small_cfg(max_phases=1, eps_s=0.0, delta_H=1e9)
+        res = run_preference_loop(cfg, seed=5)
+        assert res.ref_version == 1
+        path = generate_path(cfg.H, cfg.d, make_drift(cfg, cfg.H),
+                             np.random.default_rng([5, 0]))
+        feats = np.random.default_rng([5, 1]).standard_normal((cfg.H, cfg.K, cfg.d))
+        feats /= np.linalg.norm(feats, axis=2, keepdims=True)
+        for t in range(cfg.H):
+            g_ref = res.ref_tilt if t >= cfg.phase_length else np.zeros(cfg.d)
+            u = np.matmul(feats[t:t + 1], path.thetas[t:t + 1, :, None])[0, :, 0]
+            comparator = softmax_rows(feats[t] @ (g_ref + path.thetas[t] / cfg.beta_ref),
+                                      floor=cfg.pi_min)
+            assert res.ledger.bias[t] == float(u[np.argmax(u)]) - float(comparator @ u)
+
+    def test_phase_cap_past_the_horizon_changes_nothing(self):
+        # H = 55 holds two phase boundaries and a partial third phase
+        cfg = small_cfg(H=55, eps_s=0.0, delta_H=1e9)
+        a = run_preference_loop(cfg, seed=5)
+        b = run_preference_loop(replace(cfg, max_phases=10), seed=5)
+        assert len(a.phases) == 2 and a.ref_version >= 1
+        for col in ("bias", "error", "regret_cum", "phase"):
+            assert np.array_equal(getattr(a.ledger, col), getattr(b.ledger, col))
 
     def test_fixed_reference_mode_is_inert(self):
         res = run_preference_loop(small_cfg(mode="fixed-ref"), seed=1)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from driftpref.config import RunConfig
 from driftpref.errors import ContractError
+from driftpref.prefloop import run_preference_loop
 from driftpref.regret import (
     RegretLedger,
     min_margin,
     nmr,
-    oracle_action,
     regret_decompose,
     slope_fit,
     switch_flags,
@@ -36,7 +37,6 @@ class TestRegretLedger:
         assert len(led) == 3
         assert abs(led.final_regret() - 0.8) < 1e-15
         assert abs(led.cumulative_bias() - 0.6) < 1e-15
-        assert abs(led.cumulative_error() - 0.2) < 1e-15
 
     def test_empty_ledger(self):
         led = RegretLedger()
@@ -45,11 +45,26 @@ class TestRegretLedger:
 
 
 class TestOracleAction:
-    def test_antipodal_arms(self):
-        assert oracle_action(np.array([1.0, -1.0])) == 0
+    """The oracle is the np.argmax of the utilities, ties to the lowest index:
+    regret_decompose's bias and a preference run's ledger.oracle_arm."""
 
-    def test_ties_resolve_to_lowest_index(self):
-        assert oracle_action(np.array([0.3, 0.7, 0.7])) == 1
+    def test_antipodal_arms(self):
+        u = np.array([1.0, -1.0])
+        first, second = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert regret_decompose(u, first, first) == (0.0, 0.0)
+        assert regret_decompose(u, second, second) == (2.0, 0.0)
+
+    def test_ties_resolve_to_lowest_index(self, monkeypatch):
+        # d = 1 keeps theta at +-1, so arms 1 and 2 tie exactly whenever they lead
+        import driftpref.prefloop as prefloop
+
+        monkeypatch.setattr(prefloop, "make_features",
+                            lambda K, d, rng: np.array([[-1.0], [1.0], [1.0]]))
+        cfg = RunConfig(mode="evodpo", K=3, d=1, H=60, phase_length=20,
+                        fixed_context=True, delta_min=0.5, delta_max=3.0, V_T=1e9)
+        arms = np.concatenate([run_preference_loop(cfg, seed).ledger.oracle_arm
+                               for seed in range(4)])
+        assert set(arms.tolist()) == {0, 1}
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(0)
@@ -59,11 +74,13 @@ class TestOracleAction:
             for i, v in enumerate(u):
                 if v > best:
                     best, arg = v, i
-            assert oracle_action(u) == arg
+            star = np.zeros(u.shape[0])
+            star[arg] = 1.0
+            assert regret_decompose(u, star, star) == (0.0, 0.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            oracle_action(np.zeros(0))
+        with pytest.raises(ValueError):
+            regret_decompose(np.zeros(0), np.zeros(0), np.zeros(0))
 
 
 class TestRegretDecompose:
