@@ -162,7 +162,6 @@ def _atlas_ledger(result) -> RegretLedger:
 
 
 def _reward_ledger(result) -> RegretLedger:
-    ep = result.episode
     n = result.regret_step.shape[0]
     return RegretLedger(
         t=np.arange(1, n + 1),
@@ -171,8 +170,8 @@ def _reward_ledger(result) -> RegretLedger:
         error=result.regret_step.copy(),
         regret_step=result.regret_step.copy(),
         regret_cum=result.regret_cum.copy(),
-        oracle_arm=ep.oracle_arm.astype(int),
-        switch=ep.switch.astype(int),
+        oracle_arm=result.oracle_arm.astype(int),
+        switch=result.switch.astype(int),
     )
 
 
@@ -191,7 +190,9 @@ def execute_run(cfg: RunConfig, out_dir: Path) -> int:
     accepted_total = 0
     gated_total = 0
     saw_rate = False
-    for seed in cfg.seeds:
+    # One lockstep call plays every seed, each with the bits it gets alone.
+    bandit_runs = run_reward_bandit(cfg, cfg.seeds) if cfg.mode == "reward-bandit" else None
+    for i, seed in enumerate(cfg.seeds):
         try:
             if cfg.mode in ("evodpo", "fixed-ref"):
                 res = run_preference_loop(cfg, seed)
@@ -203,7 +204,7 @@ def execute_run(cfg: RunConfig, out_dir: Path) -> int:
                     accepted_total += res.accepted_phases
                     gated_total += res.gated_phases
             elif cfg.mode == "reward-bandit":
-                res = run_reward_bandit(cfg, seed)
+                res = bandit_runs[i]
                 ledger = _reward_ledger(res)
                 phases = []
                 final = res.nmr

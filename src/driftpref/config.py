@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -64,6 +65,12 @@ class RunConfig:
     scaling: bool = False  # include the multi-horizon scaling study in verify
 
     def __post_init__(self):
+        # Every range check below compares, and any comparison with NaN is
+        # False; only V_T may be infinite (an unbounded drift budget).
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type == "float" and not (math.isfinite(val) or f.name == "V_T" and val > 0):
+                raise ConfigError(f"{f.name} must be a finite number, got {val}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.drift_mode not in DRIFT_MODES:

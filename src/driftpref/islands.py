@@ -6,11 +6,13 @@ from the shared sampling policy, jitters it locally, and scores the jittered
 candidate by simulated episodes of a drifting reward bandit (negative mean
 regret, higher is better). All candidates of a round play the same
 episodes, so each proposal slot is scored as one batch: slot j of every
-island goes through one batched episode kernel call per episode. Scores
+island plays every episode of the round in one lockstep kernel call. Scores
 stream into a rolling window whose quantile sets the pass threshold. At
 phase boundaries the top-s passed candidates are paired against weaker
 ones, the pairs drive the same gated reference-promotion machinery as the
 preference loop, and simple telemetry rules adjust the phase settings.
+The reward-bandit mode plays the same kernel: one candidate, one episode
+per seed, every seed stepped together.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .prefloop import (
     propose_reference,
     sample_categorical,
 )
-from .regret import nmr as nmr_of, switch_flags
+from .regret import nmr as nmr_of
 
 # Substream tags (distinct from the preference loop's 0..3).
 _S_EPATH, _S_ECTX, _S_ENOISE = 0, 1, 2
@@ -41,6 +43,7 @@ _S_ISLAND, _S_EVAL, _S_GATE2, _S_PAIRS = 5, 6, 7, 8
 
 _SCALE_CAP = 16.0  # invented plumbing: keep the proposal spread bounded
 _SCORE_WINDOW = 50
+_BLOCK = 512  # episode steps whose contexts are drawn and scored at a time
 
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0)
 
@@ -95,17 +98,17 @@ def default_anchor_panel() -> tuple[list[StrategyCandidate], np.ndarray]:
 
 @dataclass
 class EpisodeResult:
-    """One reward-bandit episode's regret accounting for a batch of candidates.
+    """Regret accounting of a batch of candidates over a batch of episodes.
 
-    The oracle columns are shared by the batch; row i of expected_chosen
-    and entry i of nmr belong to candidate i.
+    Row e of the oracle columns belongs to episode e; entry (e, c) of
+    expected_chosen and nmr belongs to candidate c playing episode e.
     """
 
-    expected_best: np.ndarray  # (horizon,)
-    expected_chosen: np.ndarray  # (B, horizon)
-    oracle_arm: np.ndarray  # (horizon,)
-    switch: np.ndarray  # (horizon,)
-    nmr: np.ndarray  # (B,)
+    expected_best: np.ndarray  # (E, horizon)
+    expected_chosen: np.ndarray  # (E, C, horizon)
+    oracle_arm: np.ndarray  # (E, horizon)
+    switch: np.ndarray  # (E, horizon)
+    nmr: np.ndarray  # (E, C)
 
 
 def run_reward_episode(
@@ -113,79 +116,108 @@ def run_reward_episode(
     K: int,
     d: int,
     horizon: int,
-    path: ThetaPath,
+    paths: list[ThetaPath],
     noise_scale: float,
-    rng_ctx: np.random.Generator,
-    rng_noise: np.random.Generator,
+    rngs_ctx: list[np.random.Generator],
+    rngs_noise: list[np.random.Generator],
 ) -> EpisodeResult:
-    """Play each candidate's sliding-window UCB policy against one episode.
+    """Play every candidate's sliding-window UCB policy against every episode.
 
-    Every candidate sees the same contexts, utilities and reward noise; only
-    the arms they pull differ. The per-candidate ridge states are stacked, so
-    one step of the batch is one stacked solve, and candidate i gets the same
-    bits as if it had played the episode alone.
+    Episode e has its own drift path and its own context and noise streams
+    (paths[e], rngs_ctx[e], rngs_noise[e]); every candidate sees the same
+    contexts, utilities and reward noise in it, and only the arms they pull
+    differ. The ridge states of all (episode, candidate) members are
+    stacked, so one step of the batch is one stacked solve, and member
+    (e, c) gets the same bits as if candidate c had played episode e alone.
+    Contexts are drawn and scored _BLOCK steps at a time, which bounds
+    memory and changes no value.
     """
+    E, C = len(paths), len(cands)
     if K < 1 or horizon < 1:
         raise ConfigError("need K >= 1 and horizon >= 1")
-    if path.thetas.shape != (horizon, d):
-        raise ContractError(
-            f"path has shape {path.thetas.shape}, expected {(horizon, d)}")
-    feats = rng_ctx.standard_normal((horizon, K, d))
-    feats /= np.linalg.norm(feats, axis=2, keepdims=True)
+    if C < 1 or E < 1 or not E == len(rngs_ctx) == len(rngs_noise):
+        raise ContractError("need candidates, and one path and two streams per episode")
+    for shape in {path.thetas.shape for path in paths} - {(horizon, d)}:
+        raise ContractError(f"path has shape {shape}, expected {(horizon, d)}")
 
-    # Everything that does not depend on the chosen arms is computed up front;
-    # each (K, d) @ (d,) slice gives the same bits as the per-step product.
-    utils = np.matmul(feats, path.thetas[:, :, None])[:, :, 0]
-    rewards = utils + noise_scale * rng_noise.standard_normal(horizon)[:, None]
-    expected_best = utils.max(axis=1)
-
-    B = len(cands)
     alpha = np.array([[c.ucb_alpha] for c in cands])
-    # Ab = [A | b]: each candidate's ridge matrix and reward-weighted sum. An
+    # Ab = [A | b]: each member's ridge matrix and reward-weighted sum. An
     # observation y = [x, reward] adds x[:, None] * y, which gives b the bits
     # of reward * x.
-    Ab = np.zeros((B, d, d + 1))
-    Ab[:, :, :d] = [c.lambda_reg * np.eye(d) for c in cands]
-    A = Ab[:, :, :d]
-    rhs = np.empty((B, d, K + 1))
-    # Observation rows y, step-major; the extra last row is zero. Row t of
-    # leaving indexes the observation that drops out of each candidate's
-    # window at step t, or the zero row while the window is not full
+    Ab = np.zeros((E, C, d, d + 1))
+    Ab[..., :d] = [c.lambda_reg * np.eye(d) for c in cands]
+    A = Ab[..., :d]
+    rhs = np.empty((E, C, d, K + 1))
+    # Observation rows y, step t's in ring row t % R, the last row zero. Row i
+    # of a block's leaving indexes the observation leaving each member's
+    # window at that step (read before step t's row is written: for a window
+    # of R it is the same row), or the zero row while the window is not full
     # (subtracting zeros changes no bit).
-    hist = np.zeros((horizon + 1, B, d + 1))
     wins = np.array([c.window_size for c in cands])
-    steps = np.arange(horizon)[:, None]
-    leaving = np.where(steps >= wins, (steps - wins) * B + np.arange(B), horizon * B)
+    R = min(horizon, int(wins.max()))
+    hist = np.zeros((R + 1, E, C, d + 1))
     flat = hist.reshape(-1, d + 1)
-    # Fixed buffers with their outer-product views made once: the step loop
-    # is the hot path of a batch of one, the reward-bandit mode.
-    y = np.empty((B, d + 1))
-    old = np.empty((B, d + 1))
-    y_col, y_row = y[:, :d, None], y[:, None, :]
-    old_col, old_row = old[:, :d, None], old[:, None, :]
-    arms = np.empty((horizon, B), dtype=int)
-    for t in range(horizon):
-        ft = feats[t]
-        rhs[:, :, 0] = Ab[:, :, d]
-        rhs[:, :, 1:] = ft.T
-        solved = np.linalg.solve(A, rhs)
-        widths = np.sqrt(np.maximum((ft.T * solved[:, :, 1:]).sum(axis=1), 0.0))
-        arm = (np.matmul(ft, solved[:, :, :1])[:, :, 0] + alpha * widths).argmax(axis=1)
-        y[:, :d] = ft.take(arm, axis=0)
-        y[:, d] = rewards[t].take(arm)
-        hist[t] = y
-        old[...] = flat.take(leaving[t], axis=0)
-        Ab -= old_col * old_row
-        Ab += y_col * y_row
-        arms[t] = arm
-    expected_chosen = utils[np.arange(horizon), arms.T]
+    member = np.arange(E * C).reshape(E, C)
+    # Outer-product views made once; old is a fixed buffer.
+    y_col, y_row = hist[..., :d, None], hist[..., None, :]
+    old = np.empty((E, C, d + 1))
+    old_col, old_row = old[..., :d, None], old[..., None, :]
+    # Member (e, c) picks row arm + K * e of a step's flattened (E * K) rows.
+    offset = K * np.arange(E)[:, None]
+
+    expected_best = np.empty((E, horizon))
+    expected_chosen = np.empty((E, C, horizon))
+    oracle_arm = np.empty((E, horizon), dtype=int)
+    switch = np.empty((E, horizon), dtype=int)
+    for t0 in range(0, horizon, _BLOCK):
+        n = min(_BLOCK, horizon - t0)
+        block = slice(t0, t0 + n)
+        # A generator fills its output in order, so block draws are the
+        # values of one whole-horizon draw; each (K, d) @ (d,) slice of the
+        # products has the per-step bits.
+        f = np.stack([rng.standard_normal((n, K, d)) for rng in rngs_ctx], axis=1)
+        f /= np.linalg.norm(f, axis=3, keepdims=True)
+        noise = np.stack([rng.standard_normal(n) for rng in rngs_noise], axis=1)
+        steps = np.arange(t0, t0 + n)
+        utils = np.matmul(f, np.stack([p.thetas[block] for p in paths], axis=1)[..., None])[..., 0]
+        # Step t is a switch when the oracle under theta_{t-1} differs; step 0
+        # compares theta_0 with itself.
+        before = np.matmul(f, np.stack([p.thetas[np.maximum(steps - 1, 0)] for p in paths],
+                                       axis=1)[..., None])[..., 0]
+        steps = steps[:, None, None]
+        leaving = np.where(steps >= wins, (steps - wins) % R * E * C + member, R * E * C)
+        oracle = utils.argmax(axis=2)
+        oracle_arm[:, block] = oracle.T
+        switch[:, block] = (oracle != before.argmax(axis=2)).T
+        expected_best[:, block] = utils.max(axis=2).T
+        # Each step's observation candidates [x, reward], flattened to E * K rows.
+        obs = np.concatenate([f, (utils + noise_scale * noise[:, :, None])[..., None]],
+                             axis=3).reshape(n, E * K, d + 1)
+        f_col = f[:, :, None]  # (n, E, 1, K, d): a step's contexts, per member
+        f_t = f_col.swapaxes(3, 4)
+        arms = np.empty((n, E, C), dtype=int)
+        for i in range(n):
+            rhs[..., 0] = Ab[..., d]
+            rhs[..., 1:] = f_t[i]
+            solved = np.linalg.solve(A, rhs)
+            widths = np.sqrt(np.maximum((f_t[i] * solved[..., 1:]).sum(axis=2), 0.0))
+            arm = (np.matmul(f_col[i], solved[..., :1])[..., 0] + alpha * widths).argmax(axis=2)
+            r = (t0 + i) % R
+            flat.take(leaving[i], axis=0, out=old)
+            obs[i].take(arm + offset, axis=0, out=hist[r])
+            Ab -= old_col * old_row
+            Ab += y_col[r] * y_row[r]
+            arms[i] = arm
+        expected_chosen[:, :, block] = np.take_along_axis(
+            utils, arms, axis=2).transpose(1, 2, 0)
 
     return EpisodeResult(
         expected_best=expected_best,
         expected_chosen=expected_chosen,
-        oracle_arm=np.argmax(utils, axis=1),
-        switch=switch_flags(path.thetas, feats),
-        nmr=np.array([nmr_of(expected_best, row) for row in expected_chosen]),
+        oracle_arm=oracle_arm,
+        switch=switch,
+        nmr=np.array([[nmr_of(best, row) for row in chosen]
+                      for best, chosen in zip(expected_best, expected_chosen)]),
     )
 
 
@@ -196,27 +228,23 @@ def make_episode_scorer(cfg: RunConfig, seed: int):
     the island or on the rest of the batch, so identical candidates get
     identical scores wherever they are proposed. The drift paths of the
     latest round are kept, since every candidate of a round plays against
-    the same ones; each episode plays the whole batch in one kernel call.
+    the same ones; one kernel call plays the whole batch over every episode.
     """
     drift = make_drift(cfg, cfg.eval_horizon)
     paths: dict[int, list[ThetaPath]] = {}
 
     def scorer(cands: list[StrategyCandidate], round_idx: int) -> list[float]:
+        def rngs(tag):
+            return [np.random.default_rng([seed, _S_EVAL, round_idx, ep, tag])
+                    for ep in range(cfg.eval_episodes)]
         if round_idx not in paths:
             paths.clear()
-            paths[round_idx] = [
-                generate_path(cfg.eval_horizon, cfg.d, drift, np.random.default_rng(
-                    [seed, _S_EVAL, round_idx, ep, _S_EPATH]))
-                for ep in range(cfg.eval_episodes)
-            ]
-        total = np.zeros(len(cands))
-        for ep, path in enumerate(paths[round_idx]):
-            total += run_reward_episode(
-                cands, cfg.K, cfg.d, cfg.eval_horizon, path, cfg.noise_scale,
-                np.random.default_rng([seed, _S_EVAL, round_idx, ep, _S_ECTX]),
-                np.random.default_rng([seed, _S_EVAL, round_idx, ep, _S_ENOISE]),
-            ).nmr
-        return (total / cfg.eval_episodes).tolist()
+            paths[round_idx] = [generate_path(cfg.eval_horizon, cfg.d, drift, rng)
+                                for rng in rngs(_S_EPATH)]
+        nmr = run_reward_episode(cands, cfg.K, cfg.d, cfg.eval_horizon, paths[round_idx],
+                                 cfg.noise_scale, rngs(_S_ECTX), rngs(_S_ENOISE)).nmr
+        # Summed in episode order from +0.0, one episode's row at a time.
+        return (sum(nmr, np.zeros(len(cands))) / cfg.eval_episodes).tolist()
 
     return scorer
 
@@ -537,29 +565,30 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
 
 @dataclass
 class RewardRunResult:
-    """Reward-bandit mode output: episode accounting plus the final score."""
+    """One seed's reward-bandit run: oracle columns, regret and the final score."""
 
-    episode: EpisodeResult
+    oracle_arm: np.ndarray
+    switch: np.ndarray
     nmr: float
     regret_step: np.ndarray
     regret_cum: np.ndarray
 
 
-def run_reward_bandit(cfg: RunConfig, seed: int) -> RewardRunResult:
-    """One full-horizon sliding-window UCB run under the configured drift."""
-    cand = StrategyCandidate(
-        window_size=cfg.window_size, lambda_reg=cfg.lambda_reg,
-        ucb_alpha=cfg.ucb_alpha,
-    )
-    path = generate_path(cfg.H, cfg.d, make_drift(cfg, cfg.H),
-                         np.random.default_rng([seed, _S_EPATH]))
-    episode = run_reward_episode(
-        [cand], cfg.K, cfg.d, cfg.H, path, cfg.noise_scale,
-        np.random.default_rng([seed, _S_ECTX]),
-        np.random.default_rng([seed, _S_ENOISE]),
-    )
-    regret_step = episode.expected_best - episode.expected_chosen[0]
-    return RewardRunResult(
-        episode=episode, nmr=float(episode.nmr[0]),
-        regret_step=regret_step, regret_cum=np.cumsum(regret_step),
-    )
+def run_reward_bandit(cfg: RunConfig, seeds) -> list[RewardRunResult]:
+    """Full-horizon sliding-window UCB runs under the configured drift.
+
+    The seeds' episodes are stepped together in one kernel call; each seed
+    gets the bits it gets alone.
+    """
+    def rngs(tag):
+        return [np.random.default_rng([seed, tag]) for seed in seeds]
+    cand = StrategyCandidate(cfg.window_size, cfg.lambda_reg, cfg.ucb_alpha)
+    drift = make_drift(cfg, cfg.H)
+    paths = [generate_path(cfg.H, cfg.d, drift, rng) for rng in rngs(_S_EPATH)]
+    ep = run_reward_episode([cand], cfg.K, cfg.d, cfg.H, paths, cfg.noise_scale,
+                            rngs(_S_ECTX), rngs(_S_ENOISE))
+    regret = ep.expected_best - ep.expected_chosen[:, 0]
+    return [RewardRunResult(oracle_arm=ep.oracle_arm[e], switch=ep.switch[e],
+                            nmr=float(ep.nmr[e, 0]), regret_step=regret[e],
+                            regret_cum=np.cumsum(regret[e]))
+            for e in range(len(seeds))]

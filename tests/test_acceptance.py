@@ -204,10 +204,9 @@ def test_criterion_11_short_window_wins_under_drift():
     start = time.perf_counter()
     base = RunConfig(mode="reward-bandit", K=5, d=5, H=2000,
                      ucb_alpha=0.0, lambda_reg=0.1)
-    short, long = [], []
-    for seed in range(20):
-        short.append(run_reward_bandit(replace(base, window_size=20), seed).nmr)
-        long.append(run_reward_bandit(replace(base, window_size=200), seed).nmr)
+    seeds = range(20)
+    short = [r.nmr for r in run_reward_bandit(replace(base, window_size=20), seeds)]
+    long = [r.nmr for r in run_reward_bandit(replace(base, window_size=200), seeds)]
     margin = float(np.mean(short) - np.mean(long))
     elapsed = time.perf_counter() - start
     emit(11, "short window beats stale window", margin > 0.0,

@@ -338,6 +338,16 @@ class TestMainWiring:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, mode", [("noise_scale", "reward-bandit"),
+                                           ("lambda_reg", "reward-bandit"),
+                                           ("beta", "evodpo")])
+    def test_nan_config_value_exits_two_naming_the_key(self, tmp_path, capsys, key, mode):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"mode = {mode}\nH = 50\nseeds = 0\n{key} = nan\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {key} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_huge_drift_limit_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("mode = reward-bandit\nH = 50\nseeds = 0\n"

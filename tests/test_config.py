@@ -1,11 +1,14 @@
 """Run configuration validation and the key = value parser."""
 
+import math
 from dataclasses import fields, replace
 
 import pytest
 
 from driftpref.config import RunConfig, parse_config, parse_seeds
 from driftpref.errors import ConfigError
+
+FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
 
 
 class TestRunConfig:
@@ -55,6 +58,27 @@ class TestRunConfig:
     def test_empty_seeds(self):
         with pytest.raises(ConfigError, match="seeds"):
             RunConfig(seeds=())
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_nan_rejected_naming_the_key(self, key):
+        # Every range check compares, and a comparison with NaN is False.
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number"):
+            RunConfig(**{key: math.nan})
+
+    @pytest.mark.parametrize("key", [k for k in FLOAT_KEYS if k != "V_T"])
+    def test_infinity_rejected_naming_the_key(self, key):
+        for val in (math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^{key} must be a finite number"):
+                RunConfig(**{key: val})
+
+    def test_infinite_drift_budget_allowed(self):
+        assert RunConfig(V_T=math.inf).V_T == math.inf
+        with pytest.raises(ConfigError, match="V_T"):
+            RunConfig(V_T=-math.inf)
+
+    def test_nan_in_config_text_rejected(self):
+        with pytest.raises(ConfigError, match="ucb_alpha"):
+            parse_config("mode = reward-bandit\nucb_alpha = nan\n")
 
 
 class TestParseSeeds:

@@ -286,8 +286,8 @@ class TestSampleReward:
         path = generate_path(80, 3, DriftConfig(delta_min=0.2, delta_max=1.0),
                              np.random.default_rng(0))
         return run_reward_episode(
-            [StrategyCandidate(10, 0.1, 0.5)], 4, 3, 80, path, noise_scale,
-            np.random.default_rng(1), np.random.default_rng(noise_seed),
+            [StrategyCandidate(10, 0.1, 0.5)], 4, 3, 80, [path], noise_scale,
+            [np.random.default_rng(1)], [np.random.default_rng(noise_seed)],
         )
 
     def test_zero_noise_equals_utility(self):

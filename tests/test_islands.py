@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from driftpref import islands
 from driftpref.config import RunConfig
-from driftpref.env import DriftConfig, generate_path
+from driftpref.env import DriftConfig, generate_path, make_drift
 from driftpref.errors import ConfigError, ContractError
 from driftpref.islands import (
     IslandState,
@@ -24,7 +25,7 @@ from driftpref.islands import (
     run_reward_episode,
     strategist_rules,
 )
-from driftpref.regret import nmr
+from driftpref.regret import nmr, switch_flags
 
 
 class TestStrategyCandidate:
@@ -61,8 +62,10 @@ class TestAnchorPanel:
 def reference_episode(cand, K, d, horizon, path, noise_scale, rng_ctx, rng_noise):
     """One candidate's episode played step by step.
 
-    This is the per-candidate loop the batched kernel replaced, kept as its
-    oracle: (expected_chosen, nmr).
+    This is the per-candidate, per-episode loop the batched kernel replaced,
+    kept as its oracle. Contexts and noise are drawn for the whole horizon at
+    once, and the oracle columns come from the whole-horizon utility table:
+    (expected_chosen, nmr, oracle_arm, switch).
     """
     feats = rng_ctx.standard_normal((horizon, K, d))
     feats /= np.linalg.norm(feats, axis=2, keepdims=True)
@@ -92,41 +95,50 @@ def reference_episode(cand, K, d, horizon, path, noise_scale, rng_ctx, rng_noise
         arms[t] = arm
         rewards[t] = reward
     expected_chosen = utils[np.arange(horizon), arms]
-    return expected_chosen, nmr(utils.max(axis=1), expected_chosen)
+    return (expected_chosen, nmr(utils.max(axis=1), expected_chosen),
+            np.argmax(utils, axis=1), switch_flags(path.thetas, feats))
+
+
+def episode_batch(seeds, d, horizon):
+    """Drift paths and (context, noise) streams of one test episode per seed."""
+    drift = DriftConfig(delta_min=0.2, delta_max=1.0, tv_budget=1e9)
+    paths = [generate_path(horizon, d, drift, np.random.default_rng([s, 0]))
+             for s in seeds]
+    return (paths, [np.random.default_rng([s, 1]) for s in seeds],
+            [np.random.default_rng([s, 2]) for s in seeds])
+
+
+def play(cands, seeds, K, d, horizon, noise_scale=1.0):
+    """Every candidate against the test episode of every seed, in one call."""
+    paths, ctx, noise = episode_batch(seeds, d, horizon)
+    return run_reward_episode(cands, K, d, horizon, paths, noise_scale, ctx, noise)
 
 
 class TestRunRewardEpisode:
     def make(self, cand, seed, horizon=80, K=4, d=3):
-        drift = DriftConfig(delta_min=0.2, delta_max=1.0, tv_budget=1e9)
-        path = generate_path(horizon, d, drift, np.random.default_rng([seed, 0]))
-        return run_reward_episode(
-            [cand], K, d, horizon, path, 1.0,
-            np.random.default_rng([seed, 1]),
-            np.random.default_rng([seed, 2]),
-        )
+        return play([cand], [seed], K, d, horizon)
 
     def test_validation(self):
         cand = StrategyCandidate(10, 0.1, 0.5)
         path = generate_path(10, 3, DriftConfig(), np.random.default_rng(0))
+        ctx, noise = [np.random.default_rng(1)], [np.random.default_rng(2)]
         with pytest.raises(ConfigError):
-            run_reward_episode([cand], 0, 3, 10, path, 1.0,
-                               np.random.default_rng(1),
-                               np.random.default_rng(2))
+            run_reward_episode([cand], 0, 3, 10, [path], 1.0, ctx, noise)
         with pytest.raises(ConfigError):
-            run_reward_episode([cand], 3, 3, 0, path, 1.0,
-                               np.random.default_rng(1),
-                               np.random.default_rng(2))
+            run_reward_episode([cand], 3, 3, 0, [path], 1.0, ctx, noise)
         with pytest.raises(ContractError):
-            run_reward_episode([cand], 3, 3, 9, path, 1.0,
-                               np.random.default_rng(1),
-                               np.random.default_rng(2))
+            run_reward_episode([cand], 3, 3, 9, [path], 1.0, ctx, noise)
+        with pytest.raises(ContractError):
+            run_reward_episode([cand], 3, 3, 10, [path, path], 1.0, ctx, noise)
+        with pytest.raises(ContractError):
+            run_reward_episode([], 3, 3, 10, [path], 1.0, ctx, noise)
 
     def test_accounting_identities(self):
         res = self.make(StrategyCandidate(10, 0.1, 0.5), seed=0)
-        assert res.expected_chosen.shape == (1, 80) and res.nmr.shape == (1,)
-        assert np.all(res.expected_best >= res.expected_chosen[0] - 1e-12)
-        assert res.switch[0] == 0
-        assert abs(res.nmr[0] - nmr(res.expected_best, res.expected_chosen[0])) < 1e-15
+        assert res.expected_chosen.shape == (1, 1, 80) and res.nmr.shape == (1, 1)
+        assert np.all(res.expected_best >= res.expected_chosen[:, 0] - 1e-12)
+        assert res.switch[0, 0] == 0
+        assert abs(res.nmr[0, 0] - nmr(res.expected_best[0], res.expected_chosen[0, 0])) < 1e-15
         assert res.oracle_arm.min() >= 0
 
     def test_deterministic(self):
@@ -134,50 +146,76 @@ class TestRunRewardEpisode:
         a = self.make(cand, seed=1)
         b = self.make(cand, seed=1)
         assert np.array_equal(a.expected_chosen, b.expected_chosen)
-        assert a.nmr == b.nmr
+        assert np.array_equal(a.nmr, b.nmr)
 
 
 class TestBatchedEpisodeMatchesReferenceLoop:
-    """Each member of a batch plays exactly as it would alone, step by step."""
+    """Each (episode, candidate) member of a batch plays exactly as it would alone."""
 
-    def check(self, cands, seed, K, d, horizon, noise_scale=1.0):
-        drift = DriftConfig(delta_min=0.2, delta_max=1.0, tv_budget=1e9)
-        path = generate_path(horizon, d, drift, np.random.default_rng([seed, 0]))
-        res = run_reward_episode(cands, K, d, horizon, path, noise_scale,
-                                 np.random.default_rng([seed, 1]),
-                                 np.random.default_rng([seed, 2]))
-        assert res.expected_chosen.shape == (len(cands), horizon)
-        for i, cand in enumerate(cands):
-            chosen, score = reference_episode(
-                cand, K, d, horizon, path, noise_scale,
-                np.random.default_rng([seed, 1]), np.random.default_rng([seed, 2]))
-            assert np.array_equal(res.expected_chosen[i], chosen), (seed, i, cand)
-            assert res.nmr[i] == score, (seed, i, cand)
+    def check(self, cands, seeds, K, d, horizon, noise_scale=1.0):
+        res = play(cands, seeds, K, d, horizon, noise_scale)
+        assert res.expected_chosen.shape == (len(seeds), len(cands), horizon)
+        for e, (seed, path) in enumerate(zip(seeds, episode_batch(seeds, d, horizon)[0])):
+            for c, cand in enumerate(cands):
+                chosen, score, oracle, switch = reference_episode(
+                    cand, K, d, horizon, path, noise_scale,
+                    np.random.default_rng([seed, 1]), np.random.default_rng([seed, 2]))
+                assert np.array_equal(res.expected_chosen[e, c], chosen), (seed, c, cand)
+                assert res.nmr[e, c] == score, (seed, c, cand)
+            assert np.array_equal(res.oracle_arm[e], oracle), seed
+            assert np.array_equal(res.switch[e], switch), seed
+
+    def random_batch(self, rng, horizon):
+        cands = [
+            StrategyCandidate(1, 0.5, 1.0),
+            StrategyCandidate(horizon, 0.1, 0.5),
+            StrategyCandidate(horizon + 7, 2.0, 0.0),
+        ]
+        for _ in range(int(rng.integers(1, 5))):
+            cands.append(StrategyCandidate(
+                int(rng.integers(1, horizon + 10)), float(10 ** rng.uniform(-3, 1)),
+                float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))))
+        cands.append(cands[int(rng.integers(len(cands)))])  # a duplicate
+        return [cands[i] for i in rng.permutation(len(cands))]
 
     def test_random_batches(self):
         rng = np.random.default_rng(7)
         for seed in range(12):
             K, d = int(rng.integers(2, 7)), int(rng.integers(1, 6))
             horizon = int(rng.integers(20, 90))
-            cands = [
-                StrategyCandidate(1, 0.5, 1.0),
-                StrategyCandidate(horizon, 0.1, 0.5),
-                StrategyCandidate(horizon + 7, 2.0, 0.0),
-            ]
-            for _ in range(int(rng.integers(1, 5))):
-                cands.append(StrategyCandidate(
-                    int(rng.integers(1, horizon + 10)), float(10 ** rng.uniform(-3, 1)),
-                    float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))))
-            cands.append(cands[int(rng.integers(len(cands)))])  # a duplicate
-            order = rng.permutation(len(cands))
-            self.check([cands[i] for i in order], seed, K, d, horizon,
+            seeds = [seed] + [int(s) for s in rng.integers(100, 200, rng.integers(1, 4))]
+            self.check(self.random_batch(rng, horizon), seeds, K, d, horizon,
                        noise_scale=float(rng.choice([0.0, 0.3, 1.0])))
+
+    def test_horizons_crossing_blocks(self):
+        # Windows shorter and longer than a block, so leaving observations
+        # come from an earlier block, and horizons ending inside and at the
+        # end of a block. The longest window of a batch sets the observation
+        # ring's length, so the ring wraps in the second and third runs.
+        block = islands._BLOCK
+        cands = [StrategyCandidate(1, 0.5, 1.0), StrategyCandidate(37, 0.1, 0.5),
+                 StrategyCandidate(block + 100, 1.0, 0.0),
+                 StrategyCandidate(3 * block, 0.01, 2.0)]
+        self.check(cands, [0, 1], K=5, d=5, horizon=2 * block + 37)
+        self.check(cands[:3], [2, 3], K=4, d=3, horizon=2 * block + 37)
+        self.check(cands[:2], [4], K=3, d=4, horizon=2 * block + 37)
+        self.check(cands[1:3], [5, 6, 7], K=3, d=4, horizon=block, noise_scale=0.3)
+
+    def test_many_small_blocks(self, monkeypatch):
+        # A member's bits do not depend on the block size: seven-step blocks
+        # put a block start inside every window.
+        monkeypatch.setattr(islands, "_BLOCK", 7)
+        rng = np.random.default_rng(11)
+        for seed in range(4):
+            horizon = int(rng.integers(30, 90))
+            self.check(self.random_batch(rng, horizon), [seed, seed + 50], K=4, d=3,
+                       horizon=horizon)
 
     def test_batch_of_one(self):
         for seed, cand in enumerate([StrategyCandidate(1, 1.0, 1.0),
                                      StrategyCandidate(20, 1.0, 1.0),
                                      StrategyCandidate(500, 0.01, 0.0)]):
-            self.check([cand], seed, K=5, d=5, horizon=120)
+            self.check([cand], [seed], K=5, d=5, horizon=120)
 
 
 class TestSwLinucbSelect:
@@ -191,9 +229,9 @@ class TestSwLinucbSelect:
 
     def run(self, cand, seed, noise_scale=1.0):
         return run_reward_episode(
-            [cand], self.K, self.d, self.horizon, self.path(seed), noise_scale,
-            np.random.default_rng([seed, 1]),
-            np.random.default_rng([seed, 2]),
+            [cand], self.K, self.d, self.horizon, [self.path(seed)], noise_scale,
+            [np.random.default_rng([seed, 1])],
+            [np.random.default_rng([seed, 2])],
         )
 
     def utilities(self, seed):
@@ -210,16 +248,16 @@ class TestSwLinucbSelect:
         for seed in range(5):
             res = self.run(StrategyCandidate(self.horizon, 1e-6, 0.0), seed,
                            noise_scale=0.0)
-            assert np.array_equal(res.expected_chosen[0, 10:], res.expected_best[10:])
+            assert np.array_equal(res.expected_chosen[0, 0, 10:], res.expected_best[0, 10:])
 
     def test_symmetric_empty_history_ties_to_lowest(self):
         # Empty window: the estimate is zero, every greedy score ties, arm 0 wins.
         for seed in range(5):
             u = self.utilities(seed)
             res = self.run(StrategyCandidate(10, 0.5, 0.0), seed)
-            assert res.expected_chosen[0, 0] == u[0, 0]
-            assert np.array_equal(res.expected_best, u.max(axis=1))
-            assert np.array_equal(res.oracle_arm, np.argmax(u, axis=1))
+            assert res.expected_chosen[0, 0, 0] == u[0, 0]
+            assert np.array_equal(res.expected_best[0], u.max(axis=1))
+            assert np.array_equal(res.oracle_arm[0], np.argmax(u, axis=1))
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigError):
@@ -239,6 +277,22 @@ class TestEpisodeScorer:
         scorer([other], 4)
         assert scorer([other, cand], 3)[1] == first
         assert scorer([cand], 3) == [first]
+
+    def test_slot_score_sums_episodes_played_alone_in_order(self):
+        cfg = RunConfig(mode="atlas", K=3, d=3, eval_horizon=40, eval_episodes=3)
+        cands = [StrategyCandidate(12, 0.2, 0.7), StrategyCandidate(3, 1.0, 0.0)]
+        scores = make_episode_scorer(cfg, seed=5)(cands, 2)
+        drift = make_drift(cfg, cfg.eval_horizon)
+        for c, cand in enumerate(cands):
+            total = 0.0
+            for ep in range(cfg.eval_episodes):
+                def rng(tag):
+                    return np.random.default_rng([5, islands._S_EVAL, 2, ep, tag])
+                path = generate_path(cfg.eval_horizon, cfg.d, drift, rng(islands._S_EPATH))
+                total += run_reward_episode(
+                    [cand], cfg.K, cfg.d, cfg.eval_horizon, [path], cfg.noise_scale,
+                    [rng(islands._S_ECTX)], [rng(islands._S_ENOISE)]).nmr[0, 0]
+            assert scores[c] == total / cfg.eval_episodes
 
 
 def single_island_scorer(fn):
@@ -551,8 +605,8 @@ class TestRunRewardBandit:
     def test_accounting_and_determinism(self):
         cfg = RunConfig(mode="atlas", K=4, d=3, H=200, window_size=16,
                         lambda_reg=0.3, ucb_alpha=0.5)
-        a = run_reward_bandit(cfg, seed=0)
-        b = run_reward_bandit(cfg, seed=0)
+        [a] = run_reward_bandit(cfg, [0])
+        [b] = run_reward_bandit(cfg, [0])
         assert np.array_equal(a.regret_cum, b.regret_cum)
         assert np.max(np.abs(np.cumsum(a.regret_step) - a.regret_cum)) < 1e-12
         assert abs(a.nmr + a.regret_step.mean()) < 1e-12
@@ -563,6 +617,18 @@ class TestRunRewardBandit:
                           lambda_reg=0.1, ucb_alpha=0.0)
         long = RunConfig(mode="atlas", K=5, d=5, H=400, window_size=200,
                          lambda_reg=0.1, ucb_alpha=0.0)
-        a = run_reward_bandit(short, seed=0)
-        b = run_reward_bandit(long, seed=0)
+        [a] = run_reward_bandit(short, [0])
+        [b] = run_reward_bandit(long, [0])
         assert not np.array_equal(a.regret_cum, b.regret_cum)
+
+    def test_seeds_stepped_together_match_each_seed_alone(self):
+        cfg = RunConfig(mode="reward-bandit", K=4, d=3, H=2 * islands._BLOCK + 37,
+                        window_size=30, lambda_reg=0.3, ucb_alpha=0.5)
+        seeds = [3, 0, 7, 3]
+        together = run_reward_bandit(cfg, seeds)
+        assert len(together) == len(seeds)
+        for seed, res in zip(seeds, together):
+            [alone] = run_reward_bandit(cfg, [seed])
+            assert res.nmr == alone.nmr, seed
+            for name in ("regret_step", "regret_cum", "oracle_arm", "switch"):
+                assert np.array_equal(getattr(res, name), getattr(alone, name)), (seed, name)
