@@ -245,7 +245,7 @@ def execute_run(cfg: RunConfig, out_dir: Path) -> int:
 
 def execute_verify(cfg: RunConfig, out_dir: Path) -> int:
     """Run the bound checks and emit their JSON reports plus a CSV table."""
-    seed = cfg.seeds[0] if cfg.seeds else 0
+    seed = cfg.seeds[0]
     try:
         reports = run_standard_checks(cfg, seed=seed)
     except ConvergenceError as exc:
@@ -328,7 +328,10 @@ def load_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         overrides["seeds"] = (args.seed,)
     if getattr(args, "seeds", None):
-        overrides["seeds"] = parse_seeds(args.seeds)
+        try:
+            overrides["seeds"] = parse_seeds(args.seeds)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for --seeds: {exc}") from exc
     if overrides:
         from dataclasses import replace
 

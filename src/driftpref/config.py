@@ -120,6 +120,8 @@ class RunConfig:
             )
         if len(self.seeds) == 0:
             raise ConfigError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {min(self.seeds)}")
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:

@@ -54,11 +54,7 @@ def gibbs(
         raise ContractError(
             "reference rows must have full support (strictly positive entries)"
         )
-    logits = np.log(pi_ref) + u / beta
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits)
-    out = weights / weights.sum(axis=-1, keepdims=True)
-    return apply_floor(out, floor)
+    return softmax_rows(np.log(pi_ref) + u / beta, floor)
 
 
 def softmax_rows(logits: np.ndarray, floor: float = DEFAULT_SUPPORT_FLOOR) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Empirical checks of the drift/estimation bounds and the regret scaling.
 
-Each check replays its bound on freshly simulated data and counts strict
-violations (LHS > RHS). Deterministic inequalities must never violate;
-probabilistic ones are allowed the stated failure rate delta plus three
-binomial standard errors. Every check derives its randomness from (seed,
-check tag, trial index), so reports are reproducible bit for bit.
+Each check replays its bound on freshly simulated data, collects every
+trial's LHS and RHS, and hands them to one verdict rule (_tally) that counts
+violations. Deterministic inequalities must never violate; probabilistic
+ones are allowed the stated failure rate delta plus three binomial standard
+errors. Every check derives its randomness from (seed, check tag, trial
+index), so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -56,13 +57,31 @@ class LemmaReport:
     details: dict = field(default_factory=dict)
 
 
-def _binomial_slack(delta: float, n: int) -> float:
-    return 3.0 * math.sqrt(delta * (1.0 - delta) / n)
+def _tally(lemma_id: str, lhs, rhs, delta: float = 0.0, excluded: int = 0,
+           constants: dict | None = None, details: dict | None = None) -> LemmaReport:
+    """The one verdict rule, from each trial's left- and right-hand side.
 
-
-def _exceeds(lhs: float, rhs: float) -> bool:
-    """Strict violation of an exact inequality, past float rounding."""
-    return lhs > rhs + _EXACT_EPS * max(1.0, rhs)
+    delta = 0 marks an exact bound: a trial violates when lhs exceeds rhs
+    past float rounding, and the check passes with no violation. Otherwise
+    a trial violates when lhs > rhs, and the check passes while the rate is
+    at most delta plus three binomial standard errors. max_ratio is the
+    largest lhs / rhs over trials with rhs > 0. No trials pass at rate 0.
+    """
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), lhs.shape)
+    n = lhs.size
+    bound = rhs + _EXACT_EPS * np.maximum(1.0, rhs) if delta == 0.0 else rhs
+    violations = int(np.count_nonzero(lhs > bound))
+    # A trial with rhs <= 0 reads as ratio 0, the floor max_ratio starts from.
+    ratios = np.divide(lhs, rhs, out=np.zeros(n), where=rhs > 0.0)
+    rate = violations / n if n else 0.0
+    allowed = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / n) if n else delta
+    return LemmaReport(
+        lemma_id=lemma_id, trials=n, violations=violations, excluded=excluded,
+        max_ratio=float(ratios.max(initial=0.0)), violation_rate=rate,
+        allowed_rate=allowed, passed=rate <= allowed,
+        constants=constants or {}, details=details or {},
+    )
 
 
 def check_kl_bound(
@@ -78,8 +97,7 @@ def check_kl_bound(
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng([seed, _T_KL])
-    violations = 0
-    max_ratio = 0.0
+    lhs, rhs = [], []
     for _ in range(trials):
         feats = make_features(K, d, rng)
         theta = rng.standard_normal(d)
@@ -91,24 +109,11 @@ def check_kl_bound(
         ref = (1.0 - K * 1e-6) * ref + 1e-6  # keep the reference full-support
         p = gibbs(ref, feats @ theta, beta, floor=0.0)
         q = gibbs(ref, feats @ theta_hat, beta, floor=0.0)
-        lhs = kl(p, q)
+        lhs.append(kl(p, q))
         diff = float(np.linalg.norm(theta - theta_hat))
-        rhs = diff * diff / (2.0 * beta * beta)
-        if rhs > 0.0:
-            max_ratio = max(max_ratio, lhs / rhs)
-        if _exceeds(lhs, rhs):
-            violations += 1
-    return LemmaReport(
-        lemma_id="kl-perturbation",
-        trials=trials,
-        violations=violations,
-        excluded=0,
-        max_ratio=max_ratio,
-        violation_rate=violations / trials,
-        allowed_rate=0.0,
-        passed=violations == 0,
-        constants={"phi_max": 1.0, "K": K, "d": d},
-    )
+        rhs.append(diff * diff / (2.0 * beta * beta))
+    return _tally("kl-perturbation", lhs, rhs,
+                  constants={"phi_max": 1.0, "K": K, "d": d})
 
 
 def check_switching_budget(
@@ -129,38 +134,20 @@ def check_switching_budget(
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
-    base = DriftConfig(1.0, 5.0, "sphere-walk", v_total)
-    violations = 0
-    excluded = 0
-    max_ratio = 0.0
-    checked = 0
-    gammas = []
+    drift = spread_drift_limits(DriftConfig(1.0, 5.0, "sphere-walk", v_total), horizon, d)
+    lhs, rhs, gammas = [], [], []
     for run in range(runs):
         rng = np.random.default_rng([seed, _T_SWITCH, run])
         feats = make_features(K, d, rng)
-        drift = spread_drift_limits(base, horizon, d)
         path = generate_path(horizon, d, drift, rng)
         gamma = min_margin(path.thetas, feats)
         if gamma < gamma_floor:
-            excluded += 1
             continue
-        checked += 1
         gammas.append(gamma)
-        switches = float(switch_flags(path.thetas, feats).sum())
-        rhs = 2.0 * 1.0 * path.tv_used / gamma
-        if rhs > 0.0:
-            max_ratio = max(max_ratio, switches / rhs)
-        if _exceeds(switches, rhs):
-            violations += 1
-    return LemmaReport(
-        lemma_id="switching-budget",
-        trials=checked,
-        violations=violations,
-        excluded=excluded,
-        max_ratio=max_ratio,
-        violation_rate=violations / checked if checked else 0.0,
-        allowed_rate=0.0,
-        passed=violations == 0,
+        lhs.append(float(switch_flags(path.thetas, feats).sum()))
+        rhs.append(2.0 * 1.0 * path.tv_used / gamma)
+    return _tally(
+        "switching-budget", lhs, rhs, excluded=runs - len(lhs),
         constants={"phi_max": 1.0, "gamma_floor": gamma_floor, "K": K, "d": d},
         details={
             "min_gamma": float(min(gammas)) if gammas else math.nan,
@@ -212,38 +199,19 @@ def check_local_variation(
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
-    base = DriftConfig(1.0, 5.0, "sphere-walk", v_total)
-    violations = 0
-    checked = 0
-    max_ratio = 0.0
+    drift = spread_drift_limits(DriftConfig(1.0, 5.0, "sphere-walk", v_total), horizon, d)
+    lhs = np.empty((runs, horizon + 1))  # per run: the per-step sums, then the total
+    rhs = np.empty_like(lhs)
     for run in range(runs):
         rng = np.random.default_rng([seed, _T_LOCAL, run])
-        drift = spread_drift_limits(base, horizon, d)
         path = generate_path(horizon, d, drift, rng)
         v_local = local_window_variation(path.thetas, window)
-        for lhs, v in zip(_window_distance_sums(path.thetas, window).tolist(), v_local):
-            rhs = window * v
-            checked += 1
-            if rhs > 0.0:
-                max_ratio = max(max_ratio, lhs / rhs)
-            if _exceeds(lhs, rhs):
-                violations += 1
-        lhs_total = float(v_local.sum())
-        rhs_total = window * path.tv_used
-        checked += 1
-        if rhs_total > 0.0:
-            max_ratio = max(max_ratio, lhs_total / rhs_total)
-        if _exceeds(lhs_total, rhs_total):
-            violations += 1
-    return LemmaReport(
-        lemma_id="local-variation",
-        trials=checked,
-        violations=violations,
-        excluded=0,
-        max_ratio=max_ratio,
-        violation_rate=violations / checked,
-        allowed_rate=0.0,
-        passed=violations == 0,
+        lhs[run, :-1] = _window_distance_sums(path.thetas, window)
+        rhs[run, :-1] = window * v_local
+        lhs[run, -1] = v_local.sum()
+        rhs[run, -1] = window * path.tv_used
+    return _tally(
+        "local-variation", lhs.ravel(), rhs.ravel(),
         constants={"W": window, "d": d},
         details={"runs": runs, "horizon": horizon, "v_total": v_total},
     )
@@ -281,9 +249,7 @@ def check_self_normalized(
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     phi_max = 2.0  # winner-minus-loser rows of unit features
-    rhs = self_normalized_rhs(window, d, lam, delta, phi_max)
-    violations = 0
-    max_ratio = 0.0
+    lhs = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, _T_SELF, trial])
         rows1 = rng.standard_normal((window, d))
@@ -296,21 +262,10 @@ def check_self_normalized(
         p = sigmoid(phi @ theta)
         labels = rng.uniform(size=window) < p
         eta = labels.astype(float) - p
-        lhs = float(np.linalg.norm(phi.T @ eta))
-        max_ratio = max(max_ratio, lhs / rhs)
-        if lhs > rhs:
-            violations += 1
-    allowed = delta + _binomial_slack(delta, trials)
-    rate = violations / trials
-    return LemmaReport(
-        lemma_id="self-normalized",
-        trials=trials,
-        violations=violations,
-        excluded=0,
-        max_ratio=max_ratio,
-        violation_rate=rate,
-        allowed_rate=allowed,
-        passed=rate <= allowed,
+        lhs.append(float(np.linalg.norm(phi.T @ eta)))
+    return _tally(
+        "self-normalized", lhs, self_normalized_rhs(window, d, lam, delta, phi_max),
+        delta=delta,
         constants={
             "phi_max": phi_max, "lambda": lam, "W": window, "d": d,
             "delta": delta, "subgaussian_used": 1.0,
@@ -343,19 +298,15 @@ def check_estimation_error(
         raise ConfigError("runs and checks_per_run must be >= 1")
     if horizon <= window:
         raise ConfigError("horizon must exceed the window length")
-    base = DriftConfig(1.0, 5.0, "sphere-walk", v_total)
+    drift = spread_drift_limits(DriftConfig(1.0, 5.0, "sphere-walk", v_total), horizon, d)
     m0 = min_curvature_constant(1.0, 1.0)  # margins lie in [-2, 2]
     check_steps = np.unique(
         np.linspace(window, horizon - 1, checks_per_run).astype(int)
     )
-    violations = 0
-    checked = 0
-    max_ratio = 0.0
-    c_values = []
+    lhs, rhs, c_values = [], [], []
     for run in range(runs):
         rng = np.random.default_rng([seed, _T_EST, run])
         feats = make_features(K, d, rng)
-        drift = spread_drift_limits(base, horizon, d)
         path = generate_path(horizon, d, drift, rng)
         first = rng.integers(0, K, size=horizon)
         second = rng.integers(0, K - 1, size=horizon)
@@ -363,36 +314,20 @@ def check_estimation_error(
         dphi = feats[first] - feats[second]
         z = np.einsum("td,td->t", dphi, path.thetas)
         labels = (rng.uniform(size=horizon) < sigmoid(z)).astype(float)
-        incs = np.zeros(horizon)
-        incs[1:] = np.linalg.norm(np.diff(path.thetas, axis=0), axis=1)
-        csum = np.cumsum(incs)
+        v_local = local_window_variation(path.thetas, window)
         for t in check_steps:
             X = dphi[t - window:t]
             theta_hat, _ = fit_logistic_window(X, labels[t - window:t], lam)
-            err = float(np.linalg.norm(theta_hat - path.thetas[t]))
-            v_window = float(csum[t] - csum[t - window])
+            lhs.append(float(np.linalg.norm(theta_hat - path.thetas[t])))
             lambda_min = float(np.linalg.eigvalsh(X.T @ X + lam * np.eye(d))[0])
             c = lambda_min / window
             c_values.append(c)
-            rhs = estimation_error_rhs(
-                v_window, window, lam, d, delta, m0, c,
+            rhs.append(estimation_error_rhs(
+                float(v_local[t]), window, lam, d, delta, m0, c,
                 phi_max=2.0, theta_max=1.0,
-            )
-            checked += 1
-            max_ratio = max(max_ratio, err / rhs)
-            if err > rhs:
-                violations += 1
-    allowed = delta + _binomial_slack(delta, checked)
-    rate = violations / checked
-    return LemmaReport(
-        lemma_id="estimation-error",
-        trials=checked,
-        violations=violations,
-        excluded=0,
-        max_ratio=max_ratio,
-        violation_rate=rate,
-        allowed_rate=allowed,
-        passed=rate <= allowed,
+            ))
+    return _tally(
+        "estimation-error", lhs, rhs, delta=delta,
         constants={
             "phi_max": 2.0, "theta_max": 1.0, "m0": m0,
             "c_mean": float(np.mean(c_values)), "c_min": float(np.min(c_values)),

@@ -359,6 +359,19 @@ class TestMainWiring:
         assert "error:" in err and "delta_max" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds", "5..2"], "error: bad value for --seeds: seed range '5..2' is empty\n"),
+        (["--seeds", "a"], "error: bad value for --seeds: invalid literal for int() "
+                           "with base 10: 'a'\n"),
+        (["--seed", "-1"], "error: seeds must be nonnegative, got -1\n"),
+        (["--seeds", "2,-4"], "error: seeds must be nonnegative, got -4\n"),
+    ])
+    def test_bad_seed_flag_exits_two(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["run"] + flags + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_sweep_requires_seeds(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path)]) == 2
         assert "--seeds" in capsys.readouterr().err

@@ -59,6 +59,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seeds"):
             RunConfig(seeds=())
 
+    @pytest.mark.parametrize("seeds", [(-1,), (0, -3, 2)])
+    def test_negative_seed_rejected(self, seeds):
+        with pytest.raises(ConfigError, match="^seeds must be nonnegative"):
+            RunConfig(seeds=seeds)
+
+    def test_negative_seed_in_config_text_rejected(self):
+        with pytest.raises(ConfigError, match="^seeds must be nonnegative"):
+            parse_config("seeds = -1\n")
+
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_nan_rejected_naming_the_key(self, key):
         # Every range check compares, and a comparison with NaN is False.

@@ -11,6 +11,7 @@ from driftpref.env import DriftConfig, generate_path, make_features, spread_drif
 from driftpref.errors import ConfigError
 from driftpref.verify import (
     _T_EST,
+    _tally,
     _window_distance_sums,
     FrozenBiasReport,
     LemmaReport,
@@ -41,6 +42,53 @@ def min_eig_bisect(A, tol=1e-12):
         if hi - lo < tol:
             break
     return lo
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize("rhs, slack", [(1000.0, 1e-6), (1e-3, 1e-9)])
+    def test_exact_rule_allows_only_the_rounding_slack(self, rhs, slack):
+        # the slack is 1e-9 * max(1, rhs): relative above rhs = 1, absolute below
+        rep = _tally("x", [rhs + 0.5 * slack, rhs + 2.0 * slack], [rhs, rhs])
+        assert (rep.trials, rep.violations, rep.allowed_rate) == (2, 1, 0.0)
+        assert rep.violation_rate == 0.5 and not rep.passed
+        assert _tally("x", [rhs + 0.5 * slack], [rhs]).passed
+
+    def test_nonpositive_rhs_counts_as_a_trial_but_not_a_ratio(self):
+        rep = _tally("x", [0.0, 0.0, 1.0, 3.0], [0.0, -1.0, 4.0, 0.0])
+        assert rep.trials == 4
+        assert rep.violations == 2  # 0 > -1 and 3 > 0, past the slack
+        assert rep.max_ratio == 0.25
+        assert _tally("x", [-3.0, 5.0], [-1.0, 0.0]).max_ratio == 0.0
+
+    def test_sampled_rule_is_strict(self):
+        rhs = 2.0
+        rep = _tally("x", [rhs, np.nextafter(rhs, 3.0)], rhs, delta=0.5)
+        assert rep.violations == 1  # equality holds; one ulp above violates
+        assert rep.max_ratio == np.nextafter(rhs, 3.0) / rhs
+
+    def test_sampled_rule_passes_at_exactly_the_allowed_rate(self):
+        # delta = 1/2, n = 64: allowed = 1/2 + 3 * sqrt(1/256) = 44/64 exactly
+        for bad, passed in ((44, True), (45, False)):
+            lhs = np.where(np.arange(64) < bad, 2.0, 0.5)
+            rep = _tally("x", lhs, 1.0, delta=0.5)
+            assert rep.allowed_rate == 0.6875
+            assert rep.violation_rate == bad / 64
+            assert rep.passed is passed
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_zero_trials_pass(self, delta):
+        rep = _tally("x", [], [], delta=delta, excluded=3)
+        assert (rep.trials, rep.violations, rep.excluded) == (0, 0, 3)
+        assert (rep.max_ratio, rep.violation_rate, rep.allowed_rate) == (0.0, 0.0, delta)
+        assert rep.passed
+
+    def test_fields_are_plain_python_values(self):
+        rep = _tally("x", np.array([0.5, 3.0]), np.array([1.0, 2.0]),
+                     constants={"c": 1}, details={"d": 2})
+        assert type(rep.trials) is int and type(rep.violations) is int
+        assert type(rep.max_ratio) is float and rep.max_ratio == 1.5
+        assert rep.passed is False
+        assert (rep.constants, rep.details) == ({"c": 1}, {"d": 2})
 
 
 class TestKlBoundCheck:
