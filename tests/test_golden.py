@@ -30,9 +30,17 @@ _PREF = RunConfig(H=200, drift_spread=True, fixed_context=True, delta_H=0.1,
 # run with spread drift whose two gated phases accept once and reject once,
 # an atlas run whose three islands each double their proposal spread once
 # (one of them between two proposal slots of a round, which pins the
-# cross-island slot order), and verify with a trial override.
+# cross-island slot order), and verify with a trial override. The phase-fit
+# cases cover a preference run with fresh contexts, one whose phases stop at
+# max_phases (the dataset stops growing and the last comparator block runs
+# to H), one whose gate scores with the true parameter, and an atlas run
+# whose pair dataset drops its oldest phase (its phases fit 2, 3 and 2 rows,
+# and two of the three accept).
 CASES = {
     "evodpo": replace(_PREF, mode="evodpo"),
+    "evodpo-capped": replace(_PREF, mode="evodpo", max_phases=3),
+    "evodpo-fresh": replace(_PREF, mode="evodpo", fixed_context=False),
+    "evodpo-true-scores": replace(_PREF, mode="evodpo", true_theta_scores=True),
     "evodpo-warm": replace(_PREF, mode="evodpo", warm_scale=60.0, warm_pairs=400,
                            seeds=(0,)),
     "fixed-ref": replace(_PREF, mode="fixed-ref"),
@@ -47,6 +55,9 @@ CASES = {
     "atlas-stall": RunConfig(mode="atlas", rounds=8, islands=3, proposals_per_island=3,
                              phase_length=4, eval_horizon=60, eval_episodes=2,
                              seeds=(0,)),
+    "atlas-evict": RunConfig(mode="atlas", rounds=6, islands=2, proposals_per_island=2,
+                             phase_length=1, max_phases=3, dataset_phases=2,
+                             eval_horizon=60, eval_episodes=2, delta_H=0.2, seeds=(0,)),
     "verify": RunConfig(mode="verify", trials=50, seeds=(0,)),
 }
 
