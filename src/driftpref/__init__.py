@@ -46,11 +46,8 @@ from .policies import (
     softmax_rows,
 )
 from .prefloop import (
-    DpoFit,
     PhaseReport,
-    PreferencePair,
     PrefRunResult,
-    dpo_loss,
     fit_dpo,
     gate,
     propose_reference,

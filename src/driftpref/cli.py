@@ -349,8 +349,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="override the configured mode")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line raises ConfigError, so main prints one error: line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="driftpref",
         description="Drifting-preference simulation runs and bound checks.",
     )
@@ -369,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out_dir = Path(args.out)
     try:
+        args = build_parser().parse_args(argv)
+        out_dir = Path(args.out)
         if args.command == "report":
             return execute_report(args.summaries, out_dir)
         cfg = load_config(args)

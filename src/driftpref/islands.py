@@ -27,14 +27,7 @@ from .config import RunConfig
 from .env import ThetaPath, generate_path, make_drift
 from .errors import ConfigError, ContractError, ConvergenceError
 from .policies import gate_kl_estimate, inspector_score, softmax_rows
-from .prefloop import (
-    PhaseReport,
-    PreferencePair,
-    fit_dpo,
-    gate,
-    propose_reference,
-    sample_categorical,
-)
+from .prefloop import PhaseReport, fit_dpo, gate, propose_reference, sample_categorical
 from .regret import nmr as nmr_of
 
 # Substream tags (distinct from the preference loop's 0..3).
@@ -44,8 +37,6 @@ _S_ISLAND, _S_EVAL, _S_GATE2, _S_PAIRS = 5, 6, 7, 8
 _SCALE_CAP = 16.0  # invented plumbing: keep the proposal spread bounded
 _SCORE_WINDOW = 50
 _BLOCK = 512  # episode steps whose contexts are drawn and scored at a time
-
-ALPHA_GRID = (0.0, 0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -74,14 +65,6 @@ def candidate_descriptor(cand: StrategyCandidate) -> np.ndarray:
         1.0,
     ])
     return raw / np.linalg.norm(raw)
-
-
-def cluster_of(cand: StrategyCandidate) -> tuple[int, int, float]:
-    """Coarse grid cell (log2 window, log10 ridge, nearest alpha)."""
-    w_cell = int(np.clip(round(math.log2(cand.window_size)), 0, 10))
-    l_cell = int(np.clip(round(math.log10(cand.lambda_reg)), -3, 1))
-    a_cell = min(ALPHA_GRID, key=lambda a: abs(a - cand.ucb_alpha))
-    return (w_cell, l_cell, a_cell)
 
 
 def default_anchor_panel() -> tuple[list[StrategyCandidate], np.ndarray]:
@@ -261,7 +244,6 @@ class IslandEntry:
     score: float
     failure: bool = False
     passed: bool | None = None
-    cluster: tuple = ()
 
 
 @dataclass
@@ -324,7 +306,6 @@ def island_step(
                 index=next_index + i * n_proposals + j, island=state.island_id,
                 round=round_idx, anchor=anchor_idx, candidate=cand,
                 score=math.nan if failure else score, failure=failure,
-                cluster=cluster_of(cand),
             ))
             if failure:
                 continue
@@ -344,7 +325,7 @@ def build_pairs_top_s(
     s: int,
     threshold: float,
     rng: np.random.Generator,
-) -> tuple[list[PreferencePair], list[dict]]:
+) -> tuple[list[tuple[int, int]], list[dict]]:
     """Pair the top-s passed candidates against weaker ones.
 
     Entries with the failure flag are ignored. Passed entries (score >=
@@ -352,6 +333,7 @@ def build_pairs_top_s(
     top s become winners. Losers come from the below-threshold pool first,
     then from passed-but-not-top entries, drawn without replacement. Pairs
     whose two candidates map to the same anchor are skipped (recorded).
+    Returns the (winner anchor, loser anchor) pairs and the records.
     """
     if s < 1:
         raise ConfigError(f"s must be >= 1, got {s}")
@@ -362,7 +344,7 @@ def build_pairs_top_s(
     winners = passed[:s]
     pool_failed = [e for e in ok if not e.passed]
     pool_lower = passed[s:]
-    pairs: list[PreferencePair] = []
+    pairs: list[tuple[int, int]] = []
     records: list[dict] = []
     for winner in winners:
         pool = pool_failed if pool_failed else pool_lower
@@ -378,8 +360,7 @@ def build_pairs_top_s(
         records.append(record)
         if winner.anchor == loser.anchor:
             continue
-        pairs.append(PreferencePair(context_id=0, winner=winner.anchor,
-                                    loser=loser.anchor))
+        pairs.append((winner.anchor, loser.anchor))
     return pairs, records
 
 
@@ -448,7 +429,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     entries: list[IslandEntry] = []
     score_window: deque[float] = deque(maxlen=_SCORE_WINDOW)
     phase_entries_start = 0
-    dataset: deque[list[PreferencePair]] = deque(maxlen=cfg.dataset_phases)
+    dataset: deque[np.ndarray] = deque(maxlen=cfg.dataset_phases)  # per-phase rows
     phases: list[PhaseReport] = []
     snapshots: list[PhaseSnapshot] = []
     telemetry = Telemetry()
@@ -499,17 +480,13 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                     beta=cfg.beta, eps_s=cfg.eps_s, delta_H=cfg.delta_H, gate_size=0,
                 ))
                 continue
-            dataset.append(pairs)
-            all_pairs = [p for chunk in dataset for p in chunk]
-
-            ref_rows = softmax_rows(anchor_feats[0] @ g_ref, floor=cfg.pi_min)[None, :]
-            fit_full = fit_dpo(ref_rows, anchor_feats, all_pairs, cfg.beta,
-                               lam=cfg.dpo_lam, floor=cfg.pi_min)
-            half = all_pairs[: math.ceil(len(all_pairs) / 2)]
-            fit_half = fit_dpo(ref_rows, anchor_feats, half, cfg.beta,
-                               lam=cfg.dpo_lam, floor=cfg.pi_min)
+            win, lose = np.array(pairs).T
+            dataset.append(anchor_feats[0, win] - anchor_feats[0, lose])
+            dphi = np.concatenate(dataset)
+            w_full = fit_dpo(dphi, cfg.dpo_lam)
+            w_half = fit_dpo(dphi[: math.ceil(len(dphi) / 2)], cfg.dpo_lam)
             # The routing policy follows every phase fit; the gate moves only g_ref.
-            g_policy = g_ref + fit_full.tilt / cfg.beta
+            g_policy = g_ref + w_full / cfg.beta
 
             take = min(cfg.gate_size, len(phase_entries))
             picked = rng_gate.choice(len(phase_entries), size=take, replace=False)
@@ -522,9 +499,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                 u_hat[a] = float(np.mean(vals))
             u_rows = u_hat[None, :]
 
-            tilts = [g_ref + fit_full.tilt / cfg.beta,
-                     g_ref + fit_half.tilt / cfg.beta,
-                     g_ref]
+            tilts = [g_ref + w_full / cfg.beta, g_ref + w_half / cfg.beta, g_ref]
             cand_rows = [
                 softmax_rows(anchor_feats[0] @ g, floor=cfg.pi_min)[None, :]
                 for g in tilts
@@ -544,7 +519,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                 accepted_phases += 1
             telemetry.decisions.append(decision)
             phases.append(PhaseReport(
-                phase_index=phase_index, n_pairs=len(all_pairs),
+                phase_index=phase_index, n_pairs=len(dphi),
                 delta_s=float(delta_s), kl_hat=float(kl_hat), decision=decision,
                 accepted=accepted, chosen=("full", "half", "reference")[best],
                 ref_version_before=ref_version_before,

@@ -1,4 +1,4 @@
-"""Numerically stable scalar helpers and the package's one logistic solver."""
+"""The stable sigmoid and the package's one logistic solver."""
 
 from __future__ import annotations
 
@@ -19,20 +19,6 @@ def sigmoid(z):
     return out
 
 
-def softplus(z):
-    """log(1 + e^z) without overflow."""
-    z = np.asarray(z, dtype=float)
-    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def log_sigmoid(z):
-    """log(sigmoid(z)) = -softplus(-z)."""
-    return -softplus(-np.asarray(z, dtype=float))
-
-
 # Stopping rule of the logistic solver: gradient norm and Newton-step budget.
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 500
@@ -41,13 +27,13 @@ NEWTON_MAX_ITER = 500
 def _logistic_eval(theta, X, p, lam):
     """(objective, sigmoid(z)) at theta, from one z = X @ theta and one exp(-|z|)."""
     z = X @ theta
-    e = np.exp(-np.abs(z))  # softplus(z) = max(z, 0) + log1p(e), as in softplus
+    e = np.exp(-np.abs(z))  # log(1 + exp(z)) = max(z, 0) + log1p(e), without overflow
     obj = float(np.sum(np.maximum(z, 0.0) + np.log1p(e) - p * z) + 0.5 * lam * theta @ theta)
     return obj, np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def newton_logistic(X, p, lam, name, theta0=None):
-    """Minimize sum(softplus(X @ theta) - p * (X @ theta)) + lam/2 |theta|^2.
+    """Minimize sum(log(1 + exp(X @ theta)) - p * (X @ theta)) + lam/2 |theta|^2.
 
     Damped Newton with Armijo backtracking and a gradient-step fallback. The
     problem is strictly convex for lam > 0, so the minimizer is unique and

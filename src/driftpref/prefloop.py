@@ -15,7 +15,6 @@ per context, and promoting a Gibbs tilt of the reference adds w / beta to g.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .config import RunConfig
 from .env import generate_path, make_drift, make_features
 from .errors import ConfigError, ContractError
 from .estimator import fit_logistic_window, window_size
-from .numerics import log_sigmoid, newton_logistic, sigmoid
+from .numerics import newton_logistic, sigmoid
 from .policies import gate_kl_estimate, inspector_score, softmax_rows
 from .regret import RegretLedger, regret_decompose, switch_flags
 
@@ -32,19 +31,6 @@ from .regret import RegretLedger, regret_decompose, switch_flags
 _S_PATH, _S_CTX, _S_AGENT, _S_GATE, _S_WARM = 0, 1, 2, 3, 4
 
 CANDIDATE_LABELS = ("full", "half", "reference")
-
-
-@dataclass(frozen=True)
-class PreferencePair:
-    """One labeled comparison: the winner and loser share a context."""
-
-    context_id: int
-    winner: int
-    loser: int
-
-    def __post_init__(self):
-        if self.winner == self.loser:
-            raise ContractError("a preference pair needs two distinct actions")
 
 
 @dataclass
@@ -66,78 +52,18 @@ class PhaseReport:
     gate_size: int
 
 
-@dataclass
-class DpoFit:
-    """Fitted Gibbs-class policy for a pair dataset."""
+def fit_dpo(dphi: np.ndarray, lam: float) -> np.ndarray:
+    """Tilt w of the Gibbs-class policy that minimizes the preference loss.
 
-    tables: np.ndarray  # (n_contexts, K) policy rows on the fitted contexts
-    tilt: np.ndarray  # w; the fitted policy is softmax(log ref + phi @ w / beta)
-    grad_norm: float
-
-
-def dpo_loss(
-    pi_rows: np.ndarray,
-    ref_rows: np.ndarray,
-    pairs: list[PreferencePair],
-    beta: float,
-) -> float:
-    """Mean preference loss of a policy against a reference.
-
-    Each pair contributes -log sigmoid(beta * (log-ratio of the winner minus
-    log-ratio of the loser)). Both tables are indexed by pair context ids.
+    In the class softmax(log ref + phi @ w / beta), a pair whose
+    winner-minus-loser feature row is x has loss -log sigmoid(x @ w), whatever
+    the reference and beta. So the fit is a logistic problem on the rows of
+    dphi with every label 1; an L2 penalty (lam) keeps it strictly convex.
+    Zero rows give the zero tilt, which leaves the reference unchanged.
     """
-    if beta <= 0.0:
-        raise ConfigError(f"beta must be positive, got {beta}")
-    if not pairs:
-        raise ContractError("dpo_loss needs at least one pair")
-    pi_rows = np.asarray(pi_rows, dtype=float)
-    ref_rows = np.asarray(ref_rows, dtype=float)
-    if np.any(pi_rows <= 0.0) or np.any(ref_rows <= 0.0):
-        raise ContractError("policy and reference rows must have full support")
-    ctx = np.array([p.context_id for p in pairs])
-    win = np.array([p.winner for p in pairs])
-    lose = np.array([p.loser for p in pairs])
-    log_ratio = np.log(pi_rows) - np.log(ref_rows)
-    margin = beta * (log_ratio[ctx, win] - log_ratio[ctx, lose])
-    return float(np.mean(-log_sigmoid(margin)))
-
-
-def fit_dpo(
-    ref_rows: np.ndarray,
-    feats: np.ndarray,
-    pairs: list[PreferencePair],
-    beta: float,
-    lam: float = 0.1,
-    floor: float = 1e-9,
-) -> DpoFit:
-    """Minimize the preference loss over Gibbs tilts of the reference.
-
-    The policy class is softmax(log ref + phi @ w / beta) with w free, so the
-    pair loss reduces to a logistic loss on winner-minus-loser feature rows;
-    an L2 penalty (lam) keeps the problem strictly convex. Solved by
-    numerics.newton_logistic with every label 1. Zero pairs returns the
-    reference.
-    """
-    if beta <= 0.0 or lam <= 0.0:
-        raise ConfigError("beta and lam must be positive")
-    ref_rows = np.asarray(ref_rows, dtype=float)
-    feats = np.asarray(feats, dtype=float)
-    if ref_rows.ndim != 2 or feats.ndim != 3 or feats.shape[:2] != ref_rows.shape:
-        raise ContractError("ref_rows must be (n, K) and feats (n, K, d)")
-    d = feats.shape[2]
-    if not pairs:
-        return DpoFit(ref_rows.copy(), np.zeros(d), 0.0)
-    ctx = np.array([p.context_id for p in pairs])
-    if ctx.min() < 0 or ctx.max() >= ref_rows.shape[0]:
-        raise ContractError("pair context ids must index the provided tables")
-    win = np.array([p.winner for p in pairs])
-    lose = np.array([p.loser for p in pairs])
-    dphi = feats[ctx, win] - feats[ctx, lose]  # (n_pairs, d)
-
-    w, grad_norm = newton_logistic(dphi, 1.0, lam, "preference fit")
-    logits = np.log(ref_rows) + np.einsum("nkd,d->nk", feats, w) / beta
-    tables = softmax_rows(logits, floor=floor)
-    return DpoFit(tables, w, grad_norm)
+    if lam <= 0.0:
+        raise ConfigError(f"lam must be positive, got {lam}")
+    return newton_logistic(dphi, 1.0, lam, "preference fit")[0]
 
 
 def propose_reference(
@@ -190,7 +116,6 @@ class PrefRunResult:
     ref_version: int
     accepted_phases: int
     gated_phases: int
-    theta_hat_final: np.ndarray
     ref_tilt: np.ndarray
 
     def accept_rate(self) -> float | None:
@@ -270,8 +195,6 @@ def run_preference_loop(
     floor = cfg.pi_min
 
     max_phases = cfg.max_phases if cfg.max_phases > 0 else H // cfg.phase_length
-    dataset: deque[list[PreferencePair]] = deque(maxlen=cfg.dataset_phases)
-    phase_pairs: list[PreferencePair] = []
     phases: list[PhaseReport] = []
     accepted_phases = 0
     gated_phases = 0
@@ -327,16 +250,18 @@ def run_preference_loop(
         gap = float(u_true[first] - u_true[second])
         p_first = float(sigmoid(gap))
         first_wins = bool(rng_agent.uniform() < p_first)
-        winner, loser = (first, second) if first_wins else (second, first)
         rows[t] = phi[first] - phi[second]
         labels[t] = 1.0 if first_wins else 0.0
-        phase_pairs.append(PreferencePair(context_id=t, winner=winner, loser=loser))
 
         if (t + 1) % cfg.phase_length == 0 and phase_index < max_phases:
             phase_index += 1
-            dataset.append(phase_pairs)
+            # gated phases run back to back from step 0, so the last
+            # dataset_phases of them are one slice; a - b is exactly -(b - a),
+            # so each row is the winner minus the loser
+            lo = max(0, t + 1 - cfg.dataset_phases * cfg.phase_length)
+            dphi = np.where(labels[lo:t + 1, None] == 1.0, rows[lo:t + 1], -rows[lo:t + 1])
             report, g_new, version_new = _run_phase(
-                phase_index, dataset, feats_all, g_ref, ref_version, theta_hat,
+                phase_index, dphi, feats_all, g_ref, ref_version, theta_hat,
                 path.thetas[t], cfg, rng_gate, evolving,
                 phase_start=t + 1 - cfg.phase_length,
             )
@@ -345,7 +270,6 @@ def run_preference_loop(
             if report.accepted:
                 accepted_phases += 1
             g_ref, ref_version = g_new, version_new
-            phase_pairs = []
 
     return PrefRunResult(
         ledger=led,
@@ -355,14 +279,13 @@ def run_preference_loop(
         ref_version=ref_version,
         accepted_phases=accepted_phases,
         gated_phases=gated_phases,
-        theta_hat_final=theta_hat,
         ref_tilt=g_ref,
     )
 
 
 def _run_phase(
     phase_index: int,
-    dataset: deque,
+    dphi: np.ndarray,
     feats_all: np.ndarray,
     g_ref: np.ndarray,
     ref_version: int,
@@ -373,22 +296,9 @@ def _run_phase(
     evolving: bool,
     phase_start: int,
 ) -> tuple[PhaseReport, np.ndarray, int]:
-    """Fit candidates, gate the best one, and maybe promote the reference."""
-    pairs = [p for chunk in dataset for p in chunk]
-    # remap pair contexts onto a compact table of the contexts they touch
-    ctx_ids = sorted({p.context_id for p in pairs})
-    pos = {c: i for i, c in enumerate(ctx_ids)}
-    feats_sub = feats_all[ctx_ids]
-    ref_sub = softmax_rows(
-        np.einsum("nkd,d->nk", feats_sub, g_ref), floor=cfg.pi_min
-    )
-    local_pairs = [PreferencePair(pos[p.context_id], p.winner, p.loser) for p in pairs]
-
-    fit_full = fit_dpo(ref_sub, feats_sub, local_pairs, cfg.beta,
-                       lam=cfg.dpo_lam, floor=cfg.pi_min)
-    half = local_pairs[: math.ceil(len(local_pairs) / 2)]
-    fit_half = fit_dpo(ref_sub, feats_sub, half, cfg.beta,
-                       lam=cfg.dpo_lam, floor=cfg.pi_min)
+    """Fit candidates on the rows dphi, gate the best one, maybe promote it."""
+    w_full = fit_dpo(dphi, cfg.dpo_lam)
+    w_half = fit_dpo(dphi[: math.ceil(len(dphi) / 2)], cfg.dpo_lam)
 
     # fresh gate subset from this phase's own steps
     population = cfg.phase_length
@@ -399,8 +309,8 @@ def _run_phase(
     u_rows = np.einsum("nkd,d->nk", gate_feats, scorer)
 
     tilts = [
-        g_ref + fit_full.tilt / cfg.beta,
-        g_ref + fit_half.tilt / cfg.beta,
+        g_ref + w_full / cfg.beta,
+        g_ref + w_half / cfg.beta,
         g_ref,
     ]
     cand_rows = [
@@ -428,7 +338,7 @@ def _run_phase(
 
     report = PhaseReport(
         phase_index=phase_index,
-        n_pairs=len(pairs),
+        n_pairs=len(dphi),
         delta_s=float(delta_s),
         kl_hat=float(kl_hat),
         decision=decision,

@@ -372,6 +372,25 @@ class TestMainWiring:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--seeds", "-1..2"], "error: argument --seeds: expected one argument\n"),
+        (["run", "--seed", "a"], "error: argument --seed: invalid int value: 'a'\n"),
+        ([], "error: the following arguments are required: command\n"),
+        (["run", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+    ])
+    def test_bad_command_line_prints_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                    argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message)
+        assert not any(tmp_path.iterdir())
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: driftpref run")
+
     def test_sweep_requires_seeds(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path)]) == 2
         assert "--seeds" in capsys.readouterr().err

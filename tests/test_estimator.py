@@ -13,8 +13,9 @@ from driftpref.estimator import (
     min_curvature_constant,
     window_size,
 )
-from driftpref.numerics import sigmoid, softplus
+from driftpref.numerics import sigmoid
 from driftpref.prefloop import run_preference_loop
+from oracles import softplus
 
 
 def unit(rng, d):

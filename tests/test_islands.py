@@ -16,7 +16,6 @@ from driftpref.islands import (
     Telemetry,
     build_pairs_top_s,
     candidate_descriptor,
-    cluster_of,
     default_anchor_panel,
     island_step,
     make_episode_scorer,
@@ -40,11 +39,6 @@ class TestStrategyCandidate:
     def test_descriptor_is_unit(self):
         cand = StrategyCandidate(window_size=20, lambda_reg=0.1, ucb_alpha=0.5)
         assert abs(np.linalg.norm(candidate_descriptor(cand)) - 1.0) < 1e-12
-
-    def test_cluster_cells(self):
-        assert cluster_of(StrategyCandidate(8, 0.1, 0.6)) == (3, -1, 0.5)
-        assert cluster_of(StrategyCandidate(1000, 10.0, 1.6)) == (10, 1, 2.0)
-        assert cluster_of(StrategyCandidate(1, 1e-3, 0.0)) == (0, -3, 0.0)
 
 
 class TestAnchorPanel:
@@ -318,7 +312,6 @@ class TestIslandStep:
         assert len(entries) == 4
         assert [e.index for e in entries] == [5, 6, 7, 8]
         assert all(0 <= e.anchor < 16 for e in entries)
-        assert all(e.cluster == cluster_of(e.candidate) for e in entries)
 
     def test_scorer_failure_flagged_not_raised(self):
         def bad(cands, r):
@@ -412,7 +405,6 @@ def make_entries(scores, anchors=None, failures=None):
             candidate=StrategyCandidate(10 + i, 0.1, 0.5),
             score=float("nan") if failures and failures[i] else float(score),
             failure=bool(failures and failures[i]),
-            cluster=(0, 0, 0.0),
         ))
     return out
 
@@ -426,8 +418,8 @@ class TestBuildPairsTopS:
         assert len(records) == 1
         assert records[0]["winner_index"] == 0
         assert records[0]["loser_index"] in (1, 2)
-        assert len(pairs) == 1
-        assert pairs[0].winner == entries[0].anchor
+        assert records[0]["winner_anchor"] == entries[0].anchor
+        assert pairs == [(records[0]["winner_anchor"], records[0]["loser_anchor"])]
 
     def test_all_failed_yields_nothing(self):
         entries = make_entries([1.0, 2.0], failures=[True, True])
