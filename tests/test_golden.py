@@ -7,7 +7,9 @@ say why and record the new digests:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from dataclasses import replace
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from driftpref.cli import execute_run
+from driftpref.cli import execute_report, execute_run
 from driftpref.config import RunConfig
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
@@ -35,7 +37,9 @@ _PREF = RunConfig(H=200, drift_spread=True, fixed_context=True, delta_H=0.1,
 # max_phases (the dataset stops growing and the last comparator block runs
 # to H), one whose gate scores with the true parameter, and an atlas run
 # whose pair dataset drops its oldest phase (its phases fit 2, 3 and 2 rows,
-# and two of the three accept).
+# and two of the three accept). The evicting atlas run over three seeds pins
+# the summary's cross-seed statistics: its accept rate pools 8 gated phases,
+# since one seed skips a phase.
 CASES = {
     "evodpo": replace(_PREF, mode="evodpo"),
     "evodpo-capped": replace(_PREF, mode="evodpo", max_phases=3),
@@ -58,30 +62,47 @@ CASES = {
     "atlas-evict": RunConfig(mode="atlas", rounds=6, islands=2, proposals_per_island=2,
                              phase_length=1, max_phases=3, dataset_phases=2,
                              eval_horizon=60, eval_episodes=2, delta_H=0.2, seeds=(0,)),
+    "atlas-seeds": RunConfig(mode="atlas", rounds=6, islands=2, proposals_per_island=2,
+                             phase_length=1, max_phases=3, dataset_phases=2,
+                             eval_horizon=60, eval_episodes=2, delta_H=0.2,
+                             seeds=(0, 1, 2)),
     "verify": RunConfig(mode="verify", trials=50, seeds=(0,)),
 }
 
 
-def emitted_digests(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
+# The report case is the comparison table over these cases' summaries.
+REPORTED = ("evodpo", "fixed-ref", "reward-bandit", "atlas")
+
+
+def emitted_digests(case: str, out_dir: Path) -> dict[str, str]:
     """Run one case and return {file name: SHA-256} for what it wrote."""
-    assert execute_run(cfg, out_dir) == 0
+    if case == "report":
+        runs = out_dir / "runs"
+        for name in REPORTED:
+            assert execute_run(CASES[name], runs) == 0
+        summaries = [str(runs / f"{CASES[name].mode}_summary.json") for name in REPORTED]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert execute_report(summaries, out_dir / "report") == 0
+        out_dir = out_dir / "report"
+    else:
+        assert execute_run(CASES[case], out_dir) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted([*CASES, "report"]))
 def test_emitted_bytes_match_golden_digests(case, tmp_path):
     expected = json.loads(DIGESTS.read_text())[case]
-    assert emitted_digests(CASES[case], tmp_path) == expected
+    assert emitted_digests(case, tmp_path) == expected
 
 
 if __name__ == "__main__":
     import tempfile
 
     record = {}
-    for name in sorted(CASES):
+    for name in sorted([*CASES, "report"]):
         with tempfile.TemporaryDirectory() as tmp:
-            record[name] = emitted_digests(CASES[name], Path(tmp))
+            record[name] = emitted_digests(name, Path(tmp))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(record, indent=2) + "\n")
     sys.stdout.write(f"wrote {DIGESTS}\n")
