@@ -22,7 +22,7 @@ def main():
           f"{cfg.phase_length} rounds\n")
     print("best episode score per round (higher is better, 0 = no regret):")
     for start in range(0, cfg.rounds, 10):
-        chunk = res.round_best[start:start + 10]
+        chunk = -res.ledger.regret_step[start:start + 10]
         cells = " ".join(f"{v:7.3f}" for v in chunk)
         print(f"  rounds {start:>3}..{start + 9:<3} {cells}")
 

@@ -26,7 +26,7 @@ def main():
     results = {}
     for window in WINDOWS:
         cfg = replace(base, window_size=window)
-        nmrs = [r.nmr for r in run_reward_bandit(cfg, SEEDS)]
+        nmrs = [r.final_metric for r in run_reward_bandit(cfg, SEEDS)]
         results[window] = float(np.mean(nmrs))
         print(f"{window:>8} {results[window]:>10.5f} "
               f"{min(nmrs):>12.5f}..{max(nmrs):.5f}")

@@ -27,7 +27,6 @@ from .estimator import (
 )
 from .islands import (
     IslandRunResult,
-    RewardRunResult,
     StrategyCandidate,
     build_pairs_top_s,
     default_anchor_panel,
@@ -48,6 +47,7 @@ from .policies import (
 from .prefloop import (
     PhaseReport,
     PrefRunResult,
+    RunRecord,
     fit_dpo,
     gate,
     propose_reference,

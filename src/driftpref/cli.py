@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,36 +89,19 @@ def write_text(path: Path, text: str) -> None:
 
 
 def steps_csv(ledger: RegretLedger) -> str:
-    lines = [",".join(RegretLedger.COLUMNS)]
-    for i in range(len(ledger)):
-        lines.append(",".join([
-            str(int(ledger.t[i])),
-            str(int(ledger.phase[i])),
-            fmt_float(ledger.bias[i]),
-            fmt_float(ledger.error[i]),
-            fmt_float(ledger.regret_step[i]),
-            fmt_float(ledger.regret_cum[i]),
-            str(int(ledger.oracle_arm[i])),
-            str(int(ledger.switch[i])),
-        ]))
-    return "\n".join(lines) + "\n"
+    """Step table in one %-format; %.17g prints the digits fmt_float does."""
+    values = tuple(chain.from_iterable(zip(*(getattr(ledger, name).tolist()
+                                                for name in RegretLedger.COLUMNS))))
+    row = "%d,%d,%.17g,%.17g,%.17g,%.17g,%d,%d\n"
+    return ",".join(RegretLedger.COLUMNS) + "\n" + row * len(ledger) % values
 
 
 def phases_csv(phases: list[PhaseReport]) -> str:
     """Phase table; skipped phases appear with zero pairs and nan statistics."""
-    lines = [",".join(PHASE_COLUMNS)]
-    for p in phases:
-        lines.append(",".join([
-            str(int(p.phase_index)),
-            str(int(p.n_pairs)),
-            fmt_float(p.delta_s),
-            fmt_float(p.kl_hat),
-            str(int(p.accepted)),
-            fmt_float(p.beta),
-            fmt_float(p.eps_s),
-            fmt_float(p.delta_H),
-        ]))
-    return "\n".join(lines) + "\n"
+    row = "%d,%d,%.17g,%.17g,%d,%.17g,%.17g,%.17g\n"
+    return ",".join(PHASE_COLUMNS) + "\n" + row * len(phases) % tuple(chain.from_iterable(
+        (p.phase_index, p.n_pairs, p.delta_s, p.kl_hat, p.accepted, p.beta, p.eps_s,
+         p.delta_H) for p in phases))
 
 
 def _checkpoint_slope(regret_cum: np.ndarray) -> float | None:
@@ -132,53 +116,26 @@ def _checkpoint_slope(regret_cum: np.ndarray) -> float | None:
     return float(slope_fit(marks + 1.0, values))
 
 
-def _atlas_ledger(result) -> RegretLedger:
-    """Map island rounds onto the step-ledger schema.
-
-    One row per round: regret_step is the negated best round score (scores
-    are negative mean regret, so this is a per-round regret level), the
-    oracle arm is the best round's anchor, and a switch marks a change of
-    best anchor between rounds. Rounds with no successful proposals carry
-    nan and do not advance the cumulative column.
-    """
-    n = result.round_best.shape[0]
-    regret_step = -result.round_best
-    finite = np.isfinite(regret_step)
-    regret_cum = np.where(finite, regret_step, 0.0).cumsum()
-    switch = np.zeros(n, dtype=int)
-    anchors = result.round_best_anchor
-    for i in range(1, n):
-        switch[i] = int(anchors[i] != anchors[i - 1])
-    return RegretLedger(
-        t=np.arange(1, n + 1),
-        phase=result.round_phase.astype(int),
-        bias=np.zeros(n),
-        error=np.where(finite, regret_step, np.nan),
-        regret_step=np.where(finite, regret_step, np.nan),
-        regret_cum=regret_cum,
-        oracle_arm=anchors.astype(int),
-        switch=switch,
-    )
-
-
-def _reward_ledger(result) -> RegretLedger:
-    n = result.regret_step.shape[0]
-    return RegretLedger(
-        t=np.arange(1, n + 1),
-        phase=np.zeros(n, dtype=int),
-        bias=np.zeros(n),
-        error=result.regret_step.copy(),
-        regret_step=result.regret_step.copy(),
-        regret_cum=result.regret_cum.copy(),
-        oracle_arm=result.oracle_arm.astype(int),
-        switch=result.switch.astype(int),
-    )
-
-
 def _sem(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
     return float(np.std(np.asarray(values), ddof=1) / np.sqrt(len(values)))
+
+
+def _records(cfg: RunConfig):
+    """Yield (seed, record) for every seed, each as soon as its run ends."""
+    if cfg.mode == "reward-bandit":
+        # One lockstep call plays every seed, each with the bits it gets alone.
+        yield from zip(cfg.seeds, run_reward_bandit(cfg, cfg.seeds))
+        return
+    run = run_island_search if cfg.mode == "atlas" else run_preference_loop
+    for seed in cfg.seeds:
+        try:
+            record = run(cfg, seed)
+        except ConvergenceError as exc:
+            exc.seed = seed
+            raise
+        yield seed, record
 
 
 def execute_run(cfg: RunConfig, out_dir: Path) -> int:
@@ -187,47 +144,17 @@ def execute_run(cfg: RunConfig, out_dir: Path) -> int:
         return execute_verify(cfg, out_dir)
     finals: list[float] = []
     slopes: list[float] = []
-    accepted_total = 0
-    gated_total = 0
-    saw_rate = False
-    # One lockstep call plays every seed, each with the bits it gets alone.
-    bandit_runs = run_reward_bandit(cfg, cfg.seeds) if cfg.mode == "reward-bandit" else None
-    for i, seed in enumerate(cfg.seeds):
-        try:
-            if cfg.mode in ("evodpo", "fixed-ref"):
-                res = run_preference_loop(cfg, seed)
-                ledger = res.ledger
-                phases = res.phases
-                final = ledger.final_regret()
-                if res.accept_rate() is not None:
-                    saw_rate = True
-                    accepted_total += res.accepted_phases
-                    gated_total += res.gated_phases
-            elif cfg.mode == "reward-bandit":
-                res = bandit_runs[i]
-                ledger = _reward_ledger(res)
-                phases = []
-                final = res.nmr
-            elif cfg.mode == "atlas":
-                res = run_island_search(cfg, seed)
-                ledger = _atlas_ledger(res)
-                phases = res.phases
-                final = res.final_metric
-                if res.accept_rate() is not None:
-                    saw_rate = True
-                    accepted_total += res.accepted_phases
-                    gated_total += res.gated_phases
-            else:
-                raise ConfigError(f"mode {cfg.mode!r} is not runnable")
-        except ConvergenceError as exc:
-            exc.seed = seed
-            raise
-        finals.append(float(final))
-        slope = _checkpoint_slope(ledger.regret_cum)
+    accepted = gated = 0
+    for seed, record in _records(cfg):
+        finals.append(record.final_metric)
+        slope = _checkpoint_slope(record.ledger.regret_cum)
         if slope is not None:
             slopes.append(slope)
-        write_text(out_dir / f"{cfg.mode}_seed{seed}_steps.csv", steps_csv(ledger))
-        write_text(out_dir / f"{cfg.mode}_seed{seed}_phases.csv", phases_csv(phases))
+        if record.evolving:
+            accepted += record.accepted_phases
+            gated += record.gated_phases
+        write_text(out_dir / f"{cfg.mode}_seed{seed}_steps.csv", steps_csv(record.ledger))
+        write_text(out_dir / f"{cfg.mode}_seed{seed}_phases.csv", phases_csv(record.phases))
 
     summary = {
         "mode": cfg.mode,
@@ -236,8 +163,7 @@ def execute_run(cfg: RunConfig, out_dir: Path) -> int:
         "mean": float(np.mean(finals)),
         "sem": _sem(finals),
         "slope_exponent": float(np.mean(slopes)) if slopes else None,
-        "accept_rate": (accepted_total / gated_total
-                        if saw_rate and gated_total > 0 else None),
+        "accept_rate": accepted / gated if gated else None,
     }
     write_text(out_dir / f"{cfg.mode}_summary.json", dump_json(summary) + "\n")
     return 0
@@ -273,13 +199,26 @@ _SUMMARY_KEYS = ("mode", "seeds", "final_metric_per_seed", "mean", "sem",
                  "slope_exponent", "accept_rate")
 
 
+def _report_cell(path: Path, data: dict, key: str) -> str:
+    """A summary statistic as a table cell; null gives an empty cell."""
+    value = data[key]
+    if value is None:
+        return ""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return fmt_float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"summary file {path}: {key} must be a number or null, got {value!r}")
+
+
 def execute_report(paths: list[str], out_dir: Path) -> int:
     """Aggregate run summaries into one comparison table."""
     import json
 
     if not paths:
         raise ConfigError("report needs at least one summary JSON path")
-    rows = []
+    lines = ["mode,n_seeds,final_mean,final_sem,slope_exponent,accept_rate"]
     for p in paths:
         path = Path(p)
         if not path.is_file():
@@ -288,27 +227,18 @@ def execute_report(paths: list[str], out_dir: Path) -> int:
             data = json.loads(path.read_text())
         except ValueError as exc:
             raise ConfigError(f"unparseable summary file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"summary file {path}: not a JSON object")
         missing = [k for k in _SUMMARY_KEYS if k not in data]
         if missing:
             raise ConfigError(
                 f"summary file {path} lacks keys: {', '.join(missing)}"
             )
-        rows.append(data)
-
-    header = ("mode", "n_seeds", "final_mean", "final_sem", "slope_exponent",
-              "accept_rate")
-    lines = [",".join(header)]
-    for data in rows:
-        slope = data["slope_exponent"]
-        rate = data["accept_rate"]
-        lines.append(",".join([
-            str(data["mode"]),
-            str(len(data["seeds"])),
-            fmt_float(data["mean"]),
-            fmt_float(data["sem"]),
-            "" if slope is None else fmt_float(slope),
-            "" if rate is None else fmt_float(rate),
-        ]))
+        if not isinstance(data["mode"], str) or not isinstance(data["seeds"], list):
+            raise ConfigError(f"summary file {path}: mode must be a string and seeds a list")
+        lines.append(",".join([data["mode"], str(len(data["seeds"]))] + [
+            _report_cell(path, data, key)
+            for key in ("mean", "sem", "slope_exponent", "accept_rate")]))
     table = "\n".join(lines) + "\n"
     write_text(out_dir / "report.csv", table)
     sys.stdout.write(table)

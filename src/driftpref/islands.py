@@ -27,8 +27,8 @@ from .config import RunConfig
 from .env import ThetaPath, generate_path, make_drift
 from .errors import ConfigError, ContractError, ConvergenceError
 from .policies import gate_kl_estimate, inspector_score, softmax_rows
-from .prefloop import PhaseReport, fit_dpo, gate, propose_reference, sample_categorical
-from .regret import nmr as nmr_of
+from .prefloop import PhaseReport, RunRecord, fit_dpo, gate, propose_reference, sample_categorical
+from .regret import RegretLedger, nmr as nmr_of
 
 # Substream tags (distinct from the preference loop's 0..3).
 _S_EPATH, _S_ECTX, _S_ENOISE = 0, 1, 2
@@ -392,25 +392,12 @@ class PhaseSnapshot:
     pair_records: list[dict]
 
 
-@dataclass
-class IslandRunResult:
-    """Full record of one island-search run."""
+@dataclass(kw_only=True)
+class IslandRunResult(RunRecord):
+    """An island-search run's record, its scored proposals and its snapshots."""
 
     entries: list[IslandEntry]
-    phases: list[PhaseReport]
     snapshots: list[PhaseSnapshot]
-    round_best: np.ndarray  # best successful score per round (nan if none)
-    round_best_anchor: np.ndarray  # its anchor index (-1 if none)
-    round_phase: np.ndarray
-    final_metric: float
-    accepted_phases: int
-    gated_phases: int
-    ref_version: int
-
-    def accept_rate(self) -> float | None:
-        if self.gated_phases == 0:
-            return None
-        return self.accepted_phases / self.gated_phases
 
 
 def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
@@ -433,14 +420,17 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     phases: list[PhaseReport] = []
     snapshots: list[PhaseSnapshot] = []
     telemetry = Telemetry()
-    accepted_phases = 0
-    gated_phases = 0
     phase_index = 0
     max_phases = cfg.max_phases if cfg.max_phases > 0 else cfg.rounds // cfg.phase_length
 
-    round_best = np.full(cfg.rounds, np.nan)
-    round_best_anchor = np.full(cfg.rounds, -1, dtype=int)
-    round_phase = np.zeros(cfg.rounds, dtype=int)
+    # One ledger row per round: regret_step is the negated best round score
+    # (scores are negative mean regret), the oracle arm is that proposal's
+    # anchor, and a switch marks a change of best anchor. A round with no
+    # successful proposal keeps nan and anchor -1.
+    n = cfg.rounds
+    led = RegretLedger(t=np.arange(1, n + 1), phase=np.zeros(n, dtype=int), bias=np.zeros(n),
+                       regret_step=np.full(n, np.nan), oracle_arm=np.full(n, -1),
+                       switch=np.zeros(n, dtype=int))
 
     for r in range(1, cfg.rounds + 1):
         policy_row = softmax_rows(anchor_feats[0] @ g_policy, floor=cfg.pi_min)
@@ -453,9 +443,9 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
         score_window.extend(e.score for e in good)
         if good:
             top = max(good, key=lambda e: (e.score, -e.index))
-            round_best[r - 1] = top.score
-            round_best_anchor[r - 1] = top.anchor
-        round_phase[r - 1] = phase_index + 1
+            led.regret_step[r - 1] = -top.score
+            led.oracle_arm[r - 1] = top.anchor
+        led.phase[r - 1] = phase_index + 1
 
         if r % cfg.phase_length == 0 and phase_index < max_phases:
             phase_index += 1
@@ -514,9 +504,6 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
             if accepted and best != 2:
                 g_ref = tilts[best]
                 ref_version += 1
-            gated_phases += 1
-            if accepted:
-                accepted_phases += 1
             telemetry.decisions.append(decision)
             phases.append(PhaseReport(
                 phase_index=phase_index, n_pairs=len(dphi),
@@ -528,32 +515,22 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
             ))
             cfg = strategist_rules(telemetry, cfg)
 
+    # Rounds with no successful proposal do not advance the cumulative column.
+    led.error = led.regret_step
+    led.regret_cum = np.where(np.isnan(led.regret_step), 0.0, led.regret_step).cumsum()
+    led.switch[1:] = led.oracle_arm[1:] != led.oracle_arm[:-1]
     final_metric = float(np.mean(score_window)) if score_window else math.nan
-    return IslandRunResult(
-        entries=entries, phases=phases, snapshots=snapshots,
-        round_best=round_best, round_best_anchor=round_best_anchor,
-        round_phase=round_phase,
-        final_metric=final_metric, accepted_phases=accepted_phases,
-        gated_phases=gated_phases, ref_version=ref_version,
-    )
+    return IslandRunResult(ledger=led, final_metric=final_metric, phases=phases,
+                           evolving=True, entries=entries, snapshots=snapshots)
 
 
-@dataclass
-class RewardRunResult:
-    """One seed's reward-bandit run: oracle columns, regret and the final score."""
-
-    oracle_arm: np.ndarray
-    switch: np.ndarray
-    nmr: float
-    regret_step: np.ndarray
-    regret_cum: np.ndarray
-
-
-def run_reward_bandit(cfg: RunConfig, seeds) -> list[RewardRunResult]:
+def run_reward_bandit(cfg: RunConfig, seeds) -> list[RunRecord]:
     """Full-horizon sliding-window UCB runs under the configured drift.
 
     The seeds' episodes are stepped together in one kernel call; each seed
-    gets the bits it gets alone.
+    gets the bits it gets alone. A record's final metric is its nmr, its
+    error column is its regret_step, and its t, phase (0) and bias (0)
+    columns are one set of arrays shared by every seed.
     """
     def rngs(tag):
         return [np.random.default_rng([seed, tag]) for seed in seeds]
@@ -563,7 +540,9 @@ def run_reward_bandit(cfg: RunConfig, seeds) -> list[RewardRunResult]:
     ep = run_reward_episode([cand], cfg.K, cfg.d, cfg.H, paths, cfg.noise_scale,
                             rngs(_S_ECTX), rngs(_S_ENOISE))
     regret = ep.expected_best - ep.expected_chosen[:, 0]
-    return [RewardRunResult(oracle_arm=ep.oracle_arm[e], switch=ep.switch[e],
-                            nmr=float(ep.nmr[e, 0]), regret_step=regret[e],
-                            regret_cum=np.cumsum(regret[e]))
+    t, phase, bias = np.arange(1, cfg.H + 1), np.zeros(cfg.H, dtype=int), np.zeros(cfg.H)
+    return [RunRecord(ledger=RegretLedger(t=t, phase=phase, bias=bias, error=regret[e],
+                                          regret_step=regret[e], regret_cum=np.cumsum(regret[e]),
+                                          oracle_arm=ep.oracle_arm[e], switch=ep.switch[e]),
+                      final_metric=float(ep.nmr[e, 0]))
             for e in range(len(seeds))]

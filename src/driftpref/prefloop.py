@@ -15,7 +15,7 @@ per context, and promoting a Gibbs tilt of the reference adds w / beta to g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,23 +105,43 @@ def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
     return min(int(np.searchsorted(cdf, u, side="right")), probs.shape[0] - 1)
 
 
-@dataclass
-class PrefRunResult:
-    """Everything one phase-loop run produced."""
+@dataclass(kw_only=True)
+class RunRecord:
+    """What one seed's run of any mode reports.
+
+    The ledger has one row per step (one per round for the island search),
+    and final_metric is the run's headline number. The phase counts and the
+    reference version are read off the phases; a skipped phase is not gated.
+    """
 
     ledger: RegretLedger
-    phases: list[PhaseReport]
-    evolving: bool
-    tv_used: float
-    ref_version: int
-    accepted_phases: int
-    gated_phases: int
-    ref_tilt: np.ndarray
+    final_metric: float
+    phases: list[PhaseReport] = field(default_factory=list)
+    evolving: bool = False
+
+    @property
+    def accepted_phases(self) -> int:
+        return sum(p.accepted for p in self.phases)
+
+    @property
+    def gated_phases(self) -> int:
+        return sum(p.decision != "skipped" for p in self.phases)
+
+    @property
+    def ref_version(self) -> int:
+        return self.phases[-1].ref_version_after if self.phases else 0
 
     def accept_rate(self) -> float | None:
         if not self.evolving or self.gated_phases == 0:
             return None
         return self.accepted_phases / self.gated_phases
+
+
+@dataclass(kw_only=True)
+class PrefRunResult(RunRecord):
+    """A phase-loop run's record and its final reference tilt."""
+
+    ref_tilt: np.ndarray
 
 
 def _warm_start(
@@ -196,8 +216,6 @@ def run_preference_loop(
 
     max_phases = cfg.max_phases if cfg.max_phases > 0 else H // cfg.phase_length
     phases: list[PhaseReport] = []
-    accepted_phases = 0
-    gated_phases = 0
 
     led = RegretLedger(
         t=np.arange(1, H + 1),
@@ -266,21 +284,10 @@ def run_preference_loop(
                 phase_start=t + 1 - cfg.phase_length,
             )
             phases.append(report)
-            gated_phases += 1
-            if report.accepted:
-                accepted_phases += 1
             g_ref, ref_version = g_new, version_new
 
-    return PrefRunResult(
-        ledger=led,
-        phases=phases,
-        evolving=evolving,
-        tv_used=path.tv_used,
-        ref_version=ref_version,
-        accepted_phases=accepted_phases,
-        gated_phases=gated_phases,
-        ref_tilt=g_ref,
-    )
+    return PrefRunResult(ledger=led, final_metric=led.final_regret(), phases=phases,
+                         evolving=evolving, ref_tilt=g_ref)
 
 
 def _run_phase(

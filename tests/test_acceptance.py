@@ -13,7 +13,6 @@ import numpy as np
 
 from driftpref.cli import execute_run
 from driftpref.config import RunConfig
-from driftpref.estimator import fit_logistic_window
 from driftpref.islands import run_island_search, run_reward_bandit
 from driftpref.numerics import sigmoid
 from driftpref.policies import softmax_rows
@@ -27,6 +26,7 @@ from driftpref.verify import (
     check_self_normalized,
     check_switching_budget,
 )
+from oracles import dpo_minimizer, tilted_policy
 
 
 def emit(idx, name, ok, detail, elapsed, cap):
@@ -38,38 +38,42 @@ def emit(idx, name, ok, detail, elapsed, cap):
     assert in_time, f"criterion {idx} ({name}) over time: {elapsed:.1f}s > {cap}s"
 
 
-def test_criterion_01_dpo_matches_window_fit():
-    # the pair fit and the windowed logistic fit share one objective, so the
-    # fitted policy must land on the Gibbs tilt of the window estimate
+def test_criterion_01_dpo_fit_minimizes_pair_loss():
+    # fit_dpo's Newton solve on winner-minus-loser rows must land on the tilt
+    # that minimizes the penalized DPO loss of the policy table, found here by
+    # plain gradient descent. Instances span the loops' own fits: 10 to 100
+    # pairs, dpo_lam 0.1 or 2.0, beta 0.2 or 0.6. At 500 pairs, lam 0.1 and
+    # beta 0.6 alone, a fit whose tilt is 10% too long stays under the bound.
     start = time.perf_counter()
     rng = np.random.default_rng(20260816)
     worst = 0.0
     for _ in range(100):
         k = int(rng.integers(2, 7))
         d = int(rng.integers(2, 6))
+        n = int(rng.integers(10, 101))
+        lam = float(rng.choice([0.1, 2.0]))
+        beta = float(rng.choice([0.2, 0.6]))
         theta_star = rng.standard_normal(d)
         theta_star /= np.linalg.norm(theta_star)
         feats_row = rng.standard_normal((k, d))
         feats_row /= np.linalg.norm(feats_row, axis=1, keepdims=True)
         ref = rng.random(k) + 1e-3
         ref = (ref / ref.sum())[None, :]
-        rows = np.empty((500, d))  # winner minus loser
-        for i in range(500):
+        pairs = []  # (context, winner, loser)
+        for _ in range(n):
             first = int(rng.integers(k))
             second = int((first + 1 + rng.integers(k - 1)) % k)
             gap = float((feats_row[first] - feats_row[second]) @ theta_star)
-            winner, loser = (first, second) if rng.uniform() < sigmoid(gap) \
-                else (second, first)
-            rows[i] = feats_row[winner] - feats_row[loser]
-        beta = 0.6
-        w = fit_dpo(rows, lam=0.1)
+            pairs.append((0, first, second) if rng.uniform() < sigmoid(gap)
+                         else (0, second, first))
+        _, win, lose = np.array(pairs).T
+        w = fit_dpo(feats_row[win] - feats_row[lose], lam=lam)
         policy = softmax_rows(np.log(ref) + (feats_row @ w)[None, :] / beta)
-        theta_hat, _ = fit_logistic_window(rows, np.ones(500), lam=0.1)
-        target = softmax_rows(
-            np.log(ref) + (feats_row @ theta_hat)[None, :] / beta, floor=0.0)
+        target = tilted_policy(ref, feats_row[None], dpo_minimizer(
+            ref, feats_row[None], pairs, beta, lam), beta)
         worst = max(worst, 0.5 * float(np.abs(policy[0] - target[0]).sum()))
     elapsed = time.perf_counter() - start
-    emit(1, "pair-fit matches window estimate", worst <= 0.05,
+    emit(1, "pair fit minimizes the DPO loss", worst <= 0.05,
          f"100 instances, worst TV {worst:.4f} <= 0.05", elapsed, 30.0)
 
 
@@ -202,8 +206,8 @@ def test_criterion_11_short_window_wins_under_drift():
     base = RunConfig(mode="reward-bandit", K=5, d=5, H=2000,
                      ucb_alpha=0.0, lambda_reg=0.1)
     seeds = range(20)
-    short = [r.nmr for r in run_reward_bandit(replace(base, window_size=20), seeds)]
-    long = [r.nmr for r in run_reward_bandit(replace(base, window_size=200), seeds)]
+    short = [r.final_metric for r in run_reward_bandit(replace(base, window_size=20), seeds)]
+    long = [r.final_metric for r in run_reward_bandit(replace(base, window_size=200), seeds)]
     margin = float(np.mean(short) - np.mean(long))
     elapsed = time.perf_counter() - start
     emit(11, "short window beats stale window", margin > 0.0,

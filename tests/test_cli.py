@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+from driftpref import islands
 from driftpref.cli import (
-    _atlas_ledger,
     _checkpoint_slope,
     _sem,
     dump_json,
@@ -24,6 +24,8 @@ from driftpref.config import RunConfig
 from driftpref.errors import ConfigError, ContractError, ConvergenceError
 from driftpref.prefloop import PhaseReport
 from driftpref.regret import RegretLedger
+
+import oracles
 
 
 class TestFmtFloat:
@@ -133,6 +135,41 @@ class TestPhasesCsv:
         assert fields[3] == "nan"
 
 
+# Floats whose 17-digit form is easy to get wrong: nan, both infinities, a
+# signed zero, the smallest subnormal, the integers where %g switches to an
+# exponent, and values that need all 17 digits.
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17,
+               -1e17, 1.0 / 3.0, 0.1 + 0.2, 2.0 ** 53 + 2.0, 1e-300, 1.7976931348623157e308]
+
+
+class TestOnePassTablesMatchRowByRow:
+    def test_steps_edge_values(self):
+        n = len(EDGE_FLOATS)
+        vals = np.array(EDGE_FLOATS)
+        led = RegretLedger(
+            t=np.array([1, 2, 2 ** 53, 2 ** 53 + 1, 2 ** 62] + list(range(6, n + 1))),
+            phase=np.arange(n) - 2, bias=vals, error=np.roll(vals, 1),
+            regret_step=np.roll(vals, 2), regret_cum=np.roll(vals, 3),
+            oracle_arm=np.arange(n) - 1, switch=np.arange(n) % 2,
+        )
+        text = steps_csv(led)
+        assert text == oracles.steps_csv_rows(led)
+        assert text.split("\n")[4].startswith("9007199254740993,")
+
+    def test_phases_edge_values(self):
+        phases = [make_phase(k=2 ** 53 + k, delta_s=x, kl_hat=EDGE_FLOATS[k - 1],
+                             n_pairs=k, decision=("accept", "reject", "skipped")[k % 3])
+                  for k, x in enumerate(EDGE_FLOATS, start=1)]
+        for p, x in zip(phases, reversed(EDGE_FLOATS)):
+            p.beta, p.eps_s, p.delta_H = x, -x, x
+        assert phases_csv(phases) == oracles.phases_csv_rows(phases)
+
+    def test_empty_tables(self):
+        assert steps_csv(RegretLedger()) == oracles.steps_csv_rows(RegretLedger())
+        assert phases_csv([]) == oracles.phases_csv_rows([])
+        assert phases_csv([]) == "k,n_pairs,delta_S,kl_hat,accepted,beta,eps_s,delta_H\n"
+
+
 class TestCheckpointSlope:
     def test_linear_growth_has_unit_slope(self):
         cum = np.cumsum(np.full(400, 2.0))
@@ -145,23 +182,43 @@ class TestCheckpointSlope:
         assert _checkpoint_slope(np.zeros(40)) is None
 
 
-class FakeIslandResult:
-    def __init__(self):
-        self.round_best = np.array([-0.4, math.nan, -0.2])
-        self.round_best_anchor = np.array([3, -1, 5])
-        self.round_phase = np.array([1, 1, 1])
-
-
 class TestAtlasLedger:
-    def test_mapping(self):
-        led = _atlas_ledger(FakeIslandResult())
-        assert np.array_equal(led.t, np.array([1, 2, 3]))
-        assert led.regret_step[0] == 0.4
-        assert math.isnan(led.regret_step[1])
-        # the nan round does not advance the cumulative column
-        assert np.allclose(led.regret_cum, np.array([0.4, 0.4, 0.6]))
-        assert np.array_equal(led.oracle_arm, np.array([3, -1, 5]))
-        assert np.array_equal(led.switch, np.array([0, 1, 1]))
+    def test_mapping(self, monkeypatch):
+        # every proposal of round 2 fails: its scorer raises a solver error
+        real = islands.make_episode_scorer
+
+        def failing_scorer(cfg, seed):
+            score = real(cfg, seed)
+
+            def scorer(cands, round_idx):
+                if round_idx == 2:
+                    raise np.linalg.LinAlgError("singular ridge matrix")
+                return score(cands, round_idx)
+            return scorer
+
+        monkeypatch.setattr(islands, "make_episode_scorer", failing_scorer)
+        cfg = RunConfig(mode="atlas", K=3, d=3, rounds=4, phase_length=2, islands=2,
+                        proposals_per_island=2, eval_horizon=40, eval_episodes=1)
+        res = islands.run_island_search(cfg, seed=0)
+        led = res.ledger
+        assert [e.failure for e in res.entries] == [e.round == 2 for e in res.entries]
+        assert np.array_equal(led.t, np.array([1, 2, 3, 4]))
+        assert np.array_equal(led.phase, np.array([1, 1, 2, 2]))
+        assert np.array_equal(led.bias, np.zeros(4))
+        for r in (1, 3, 4):
+            top = max((e for e in res.entries if e.round == r),
+                      key=lambda e: (e.score, -e.index))
+            assert led.regret_step[r - 1] == -top.score
+            assert led.oracle_arm[r - 1] == top.anchor
+        # the failed round carries nan and anchor -1, and does not advance
+        # the cumulative column
+        assert math.isnan(led.regret_step[1]) and math.isnan(led.error[1])
+        assert led.oracle_arm[1] == -1
+        assert led.regret_cum[1] == led.regret_cum[0] == led.regret_step[0]
+        assert led.regret_cum[3] == (led.regret_cum[0] + led.regret_step[2]) + led.regret_step[3]
+        # a switch marks a change of best anchor; -1 differs from every anchor
+        assert np.array_equal(led.switch, np.array(
+            [0, 1, 1, int(led.oracle_arm[3] != led.oracle_arm[2])]))
 
 
 class TestSem:
@@ -316,6 +373,52 @@ class TestExecuteReport:
     def test_no_paths_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             execute_report([], tmp_path)
+
+    def test_null_statistics_give_empty_cells(self, tmp_path, monkeypatch, capsys):
+        # an atlas run whose proposals all fail has a nan final metric, which
+        # its summary writes as null
+        def failing_scorer(cfg, seed):
+            def scorer(cands, round_idx):
+                raise np.linalg.LinAlgError("singular ridge matrix")
+            return scorer
+
+        monkeypatch.setattr(islands, "make_episode_scorer", failing_scorer)
+        cfg = RunConfig(mode="atlas", K=3, d=3, rounds=4, phase_length=2, islands=2,
+                        proposals_per_island=1, eval_horizon=40, eval_episodes=1,
+                        seeds=(0, 1))
+        execute_run(cfg, tmp_path / "runs")
+        path = tmp_path / "runs" / "atlas_summary.json"
+        summary = json.loads(path.read_text())
+        assert summary["mean"] is None and summary["sem"] is None
+        assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == 0
+        assert capsys.readouterr() == (
+            "mode,n_seeds,final_mean,final_sem,slope_exponent,accept_rate\n"
+            "atlas,2,,,,\n", "")
+
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", 3), ("mode", 7), ("mean", "0.5"), ("sem", [0.1]),
+        ("slope_exponent", True), ("accept_rate", {}), ("mean", 10 ** 400),
+    ], ids=["seeds-int", "mode-int", "mean-str", "sem-list", "slope-bool",
+            "rate-object", "mean-overflows"])
+    def test_wrong_typed_field_exits_two(self, tmp_path, capsys, key, value):
+        data = {"mode": "evodpo", "seeds": [0], "final_metric_per_seed": [0.5],
+                "mean": 0.5, "sem": 0.0, "slope_exponent": None, "accept_rate": None}
+        data[key] = value
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "rep"
+        assert main(["report", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: summary file {path}: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_object_summary_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text("[1, 2]")
+        assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == f"error: summary file {path}: not a JSON object\n"
 
 
 class TestMainWiring:

@@ -527,7 +527,7 @@ class TestRunIslandSearch:
         assert [p.phase_index for p in res.phases] == [1, 2]
         assert len(res.entries) == 20 * 2 * 1
         assert [e.index for e in res.entries] == list(range(40))
-        assert res.round_best.shape == (20,)
+        assert res.ledger.regret_step.shape == (20,)
         skipped = sum(p.decision == "skipped" for p in res.phases)
         assert res.gated_phases == len(res.phases) - skipped
 
@@ -537,16 +537,16 @@ class TestRunIslandSearch:
             round_entries = [e for e in res.entries
                              if e.round == r and not e.failure]
             if not round_entries:
-                assert math.isnan(res.round_best[r - 1])
+                assert math.isnan(res.ledger.regret_step[r - 1])
                 continue
             best = max(e.score for e in round_entries)
-            assert res.round_best[r - 1] == best
+            assert res.ledger.regret_step[r - 1] == -best
 
     def test_deterministic_reruns(self):
         cfg = atlas_cfg()
         a = run_island_search(cfg, seed=2)
         b = run_island_search(cfg, seed=2)
-        assert np.array_equal(a.round_best, b.round_best, equal_nan=True)
+        assert np.array_equal(a.ledger.regret_step, b.ledger.regret_step, equal_nan=True)
         assert [e.score for e in a.entries] == [e.score for e in b.entries]
         assert [p.decision for p in a.phases] == [p.decision for p in b.phases]
         assert a.final_metric == b.final_metric
@@ -599,10 +599,10 @@ class TestRunRewardBandit:
                         lambda_reg=0.3, ucb_alpha=0.5)
         [a] = run_reward_bandit(cfg, [0])
         [b] = run_reward_bandit(cfg, [0])
-        assert np.array_equal(a.regret_cum, b.regret_cum)
-        assert np.max(np.abs(np.cumsum(a.regret_step) - a.regret_cum)) < 1e-12
-        assert abs(a.nmr + a.regret_step.mean()) < 1e-12
-        assert np.all(a.regret_step >= -1e-12)
+        assert np.array_equal(a.ledger.regret_cum, b.ledger.regret_cum)
+        assert np.max(np.abs(np.cumsum(a.ledger.regret_step) - a.ledger.regret_cum)) < 1e-12
+        assert abs(a.final_metric + a.ledger.regret_step.mean()) < 1e-12
+        assert np.all(a.ledger.regret_step >= -1e-12)
 
     def test_window_size_changes_behavior(self):
         short = RunConfig(mode="atlas", K=5, d=5, H=400, window_size=20,
@@ -611,7 +611,7 @@ class TestRunRewardBandit:
                          lambda_reg=0.1, ucb_alpha=0.0)
         [a] = run_reward_bandit(short, [0])
         [b] = run_reward_bandit(long, [0])
-        assert not np.array_equal(a.regret_cum, b.regret_cum)
+        assert not np.array_equal(a.ledger.regret_cum, b.ledger.regret_cum)
 
     def test_seeds_stepped_together_match_each_seed_alone(self):
         cfg = RunConfig(mode="reward-bandit", K=4, d=3, H=2 * islands._BLOCK + 37,
@@ -621,6 +621,7 @@ class TestRunRewardBandit:
         assert len(together) == len(seeds)
         for seed, res in zip(seeds, together):
             [alone] = run_reward_bandit(cfg, [seed])
-            assert res.nmr == alone.nmr, seed
+            assert res.final_metric == alone.final_metric, seed
             for name in ("regret_step", "regret_cum", "oracle_arm", "switch"):
-                assert np.array_equal(getattr(res, name), getattr(alone, name)), (seed, name)
+                assert np.array_equal(getattr(res.ledger, name),
+                                      getattr(alone.ledger, name)), (seed, name)
