@@ -9,6 +9,11 @@ generate_path draws all of a path's randomness first, step by step in the
 walk's order (a normal direction, redrawn once if exactly zero, then the
 magnitude), and then walks the steps, so it leaves the caller's stream where
 a draw-as-you-go walk would; frozen mode draws nothing past the start.
+Given a list of generators, it draws each run's path from its own generator
+into that run's slice of one (B, T, d) stack of B x T x d doubles, then
+walks all runs together with (B, d) rows; the budget test and the zero-norm
+guard become per-row masks, and each path keeps the bits and leaves its
+generator where a call of its own would.
 
 Action feature vectors are unit rows and utilities are inner products.
 """
@@ -58,22 +63,14 @@ class ThetaPath:
         return self.thetas.shape[0]
 
 
-def generate_path(
-    horizon: int,
-    dim: int,
-    cfg: DriftConfig,
-    rng: np.random.Generator,
-) -> ThetaPath:
-    """Realize a full parameter trajectory of the given length."""
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    theta0 = rng.standard_normal(dim)
-    thetas = np.empty((horizon, dim))
-    thetas[0] = theta0 / np.linalg.norm(theta0)
+def _draw(out: np.ndarray, cfg: DriftConfig, rng: np.random.Generator) -> None:
+    """Write a path's unit start to out[0] and its scaled steps to out[1:]."""
+    theta0 = rng.standard_normal(out.shape[1])
+    out[0] = theta0 / np.linalg.norm(theta0)
+    steps = out[1:]
     if cfg.mode == "frozen":
-        thetas[1:] = thetas[0]
-        return ThetaPath(thetas=thetas, tv_used=0.0, tv_budget=cfg.tv_budget)
-    steps = np.empty((horizon - 1, dim))
+        steps[:] = out[0]
+        return
     start = rng.bit_generator.state
     for retry_zero in (False, True):  # the retry pass replays a pass that drew a zero direction
         u = []
@@ -90,21 +87,61 @@ def generate_path(
     # (sqrt of the dot product); np.linalg.norm(axis=1) rounds differently.
     steps /= np.sqrt(sq)[:, None]
     steps *= (cfg.delta_min + (cfg.delta_max - cfg.delta_min) * np.array(u))[:, None]
-    theta, tv_used = thetas[0], 0.0
-    for t, step in enumerate(steps, 1):
-        p = theta + step
-        pnorm = math.sqrt(p.dot(p))
-        if pnorm != 0.0:
-            p /= pnorm
-            diff = p - theta
-            dist = math.sqrt(diff.dot(diff))
-            if not dist > cfg.tv_budget - tv_used:
-                theta, tv_used = p, tv_used + dist
-        thetas[t] = theta
+
+
+def _unit_path(thetas: np.ndarray, tv_used: float, cfg: DriftConfig) -> ThetaPath:
+    """Wrap a walked path, holding its rows to unit norm."""
     off = np.abs(np.linalg.norm(thetas, axis=1) - 1.0)
     if not np.all(off <= _NORM_TOL):
         raise ContractError(f"theta must have unit norm, got a row off by {float(np.max(off))!r}")
-    return ThetaPath(thetas=thetas, tv_used=tv_used, tv_budget=cfg.tv_budget)
+    return ThetaPath(thetas=thetas, tv_used=float(tv_used), tv_budget=cfg.tv_budget)
+
+
+def generate_path(
+    horizon: int,
+    dim: int,
+    cfg: DriftConfig,
+    rng: np.random.Generator | list,
+) -> ThetaPath | list[ThetaPath]:
+    """Realize a full parameter trajectory of the given length.
+
+    Given a list of generators, return one path per generator, walked
+    together step by step with the same bits as one call per generator.
+    """
+    if horizon < 1 or dim < 1:
+        raise ConfigError(f"need horizon >= 1 and dim >= 1, got {horizon}, {dim}")
+    walked = horizon if cfg.mode == "sphere-walk" else 1  # a frozen path is all drawn
+    if not isinstance(rng, list):
+        thetas = np.empty((horizon, dim))
+        _draw(thetas, cfg, rng)
+        theta, tv_used = thetas[0], 0.0
+        for t in range(1, walked):
+            p = theta + thetas[t]
+            pnorm = math.sqrt(p.dot(p))
+            if pnorm != 0.0:
+                p /= pnorm
+                diff = p - theta
+                dist = math.sqrt(diff.dot(diff))
+                if not dist > cfg.tv_budget - tv_used:
+                    theta, tv_used = p, tv_used + dist
+            thetas[t] = theta
+        return _unit_path(thetas, tv_used, cfg)
+    stack = np.empty((len(rng), horizon, dim))  # each run's steps, overwritten by the walk
+    for out, gen in zip(stack, rng):
+        _draw(out, cfg, gen)
+    theta, tv_used = stack[:, 0].copy(), np.zeros(len(rng))
+    for t in range(1, walked):
+        p = theta + stack[:, t]
+        pnorm = np.sqrt(np.vecdot(p, p))[:, None]
+        moved = pnorm != 0.0
+        np.divide(p, pnorm, out=p, where=moved)
+        diff = p - theta
+        dist = np.sqrt(np.vecdot(diff, diff))
+        take = moved[:, 0] & ~(dist > cfg.tv_budget - tv_used)
+        np.copyto(theta, p, where=take[:, None])
+        tv_used = np.where(take, tv_used + dist, tv_used)
+        stack[:, t] = theta
+    return [_unit_path(thetas, tv, cfg) for thetas, tv in zip(stack, tv_used)]
 
 
 def make_features(n_actions: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -129,8 +166,8 @@ def spread_drift_limits(cfg: DriftConfig, horizon: int, dim: int) -> DriftConfig
     evenly over the horizon (first-order small-step approximation; the exact
     cap is still enforced by generate_path's budget check).
     """
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    if horizon < 1 or dim < 1:
+        raise ConfigError(f"need horizon >= 1 and dim >= 1, got {horizon}, {dim}")
     mean_mag = 0.5 * (cfg.delta_min + cfg.delta_max)
     if mean_mag <= 0.0 or cfg.tv_budget <= 0.0:
         return replace(cfg)

@@ -135,11 +135,10 @@ def check_switching_budget(
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     drift = spread_drift_limits(DriftConfig(1.0, 5.0, "sphere-walk", v_total), horizon, d)
+    rngs = [np.random.default_rng([seed, _T_SWITCH, run]) for run in range(runs)]
+    contexts = [make_features(K, d, rng) for rng in rngs]
     lhs, rhs, gammas = [], [], []
-    for run in range(runs):
-        rng = np.random.default_rng([seed, _T_SWITCH, run])
-        feats = make_features(K, d, rng)
-        path = generate_path(horizon, d, drift, rng)
+    for feats, path in zip(contexts, generate_path(horizon, d, drift, rngs)):
         gamma = min_margin(path.thetas, feats)
         if gamma < gamma_floor:
             continue
@@ -202,9 +201,8 @@ def check_local_variation(
     drift = spread_drift_limits(DriftConfig(1.0, 5.0, "sphere-walk", v_total), horizon, d)
     lhs = np.empty((runs, horizon + 1))  # per run: the per-step sums, then the total
     rhs = np.empty_like(lhs)
-    for run in range(runs):
-        rng = np.random.default_rng([seed, _T_LOCAL, run])
-        path = generate_path(horizon, d, drift, rng)
+    rngs = [np.random.default_rng([seed, _T_LOCAL, run]) for run in range(runs)]
+    for run, path in enumerate(generate_path(horizon, d, drift, rngs)):
         v_local = local_window_variation(path.thetas, window)
         lhs[run, :-1] = _window_distance_sums(path.thetas, window)
         rhs[run, :-1] = window * v_local
@@ -303,11 +301,11 @@ def check_estimation_error(
     check_steps = np.unique(
         np.linspace(window, horizon - 1, checks_per_run).astype(int)
     )
+    rngs = [np.random.default_rng([seed, _T_EST, run]) for run in range(runs)]
+    contexts = [make_features(K, d, rng) for rng in rngs]
+    paths = generate_path(horizon, d, drift, rngs)
     lhs, rhs, c_values = [], [], []
-    for run in range(runs):
-        rng = np.random.default_rng([seed, _T_EST, run])
-        feats = make_features(K, d, rng)
-        path = generate_path(horizon, d, drift, rng)
+    for rng, feats, path in zip(rngs, contexts, paths):
         first = rng.integers(0, K, size=horizon)
         second = rng.integers(0, K - 1, size=horizon)
         second = second + (second >= first)

@@ -170,6 +170,69 @@ class TestPathOracle:
             assert_same_path(a, b, rng_a, rng_b)
 
 
+class TestLockstepOracle:
+    """A list of generators walks its paths together, each with its own bits."""
+
+    def cases(self):
+        rng = np.random.default_rng(2026)
+        for i in range(60):
+            n_runs = int(rng.integers(1, 9))
+            horizon = int(rng.integers(1, 401))
+            dim = int(rng.integers(1, 7))
+            kind = i % 5
+            if kind == 0:  # budget runs out mid-path
+                cfg = DriftConfig(0.5, 3.0, tv_budget=float(rng.uniform(0.5, 4.0)))
+            elif kind == 1:
+                cfg = DriftConfig(1.0, 5.0, tv_budget=0.0)
+            elif kind == 2:
+                cfg = DriftConfig(mode="frozen")
+            elif kind == 3:
+                cfg = spread_drift_limits(DriftConfig(1.0, 5.0, tv_budget=4.0),
+                                          horizon, dim)
+            else:
+                cfg = DriftConfig(1.0, 5.0)
+            yield i, n_runs, horizon, dim, cfg
+
+    def assert_stack_matches(self, horizon, dim, cfg, stack, alone, oracle):
+        paths = generate_path(horizon, dim, cfg, stack)
+        assert len(paths) == len(stack)
+        for path, gens in zip(paths, zip(stack, alone, oracle)):
+            single = generate_path(horizon, dim, cfg, gens[1])
+            ref = reference_path(horizon, dim, cfg, gens[2])
+            assert path.thetas.tobytes() == single.thetas.tobytes() == ref.thetas.tobytes()
+            assert path.tv_used == single.tv_used == ref.tv_used
+            assert path.tv_budget == cfg.tv_budget
+            # each generator is left where its own call leaves it
+            assert gens[0].random() == gens[1].random() == gens[2].random()
+        return paths
+
+    def test_matches_per_generator_calls(self):
+        budget_bound = 0
+        for i, n_runs, horizon, dim, cfg in self.cases():
+            stack, alone, oracle = ([np.random.default_rng([i, run]) for run in range(n_runs)]
+                                    for _ in range(3))
+            for path in self.assert_stack_matches(horizon, dim, cfg, stack, alone, oracle):
+                moves = np.any(np.diff(path.thetas, axis=0) != 0.0, axis=1)
+                budget_bound += bool(np.any(moves) and not np.all(moves))
+        assert budget_bound >= 10  # some budgets run out mid-path
+
+    def test_zero_direction_member(self):
+        cfg = DriftConfig(0.1, 0.5)
+        stack, alone, oracle = ([np.random.default_rng(1), ZeroDirectionRng(3, 5),
+                                 np.random.default_rng(2)] for _ in range(3))
+        self.assert_stack_matches(12, 3, cfg, stack, alone, oracle)
+        assert stack[1].calls == 13  # 11 directions, one drawn twice
+
+    def test_empty_list(self):
+        assert generate_path(10, 3, DriftConfig(), []) == []
+
+    def test_overflowing_member_rejected(self):
+        cfg = DriftConfig(delta_min=1e300, delta_max=1e300)
+        rngs = [np.random.default_rng(0), np.random.default_rng(2)]
+        with np.errstate(over="ignore"), pytest.raises(ContractError):
+            generate_path(5, 2, cfg, rngs)
+
+
 class TestAdvanceTheta:
     """The per-step drift law, seen through generate_path."""
 
@@ -244,6 +307,15 @@ class TestGeneratePath:
     def test_bad_horizon(self):
         with pytest.raises(ConfigError):
             generate_path(0, 3, DriftConfig(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mode", ["sphere-walk", "frozen"])
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_bad_dim(self, mode, dim):
+        cfg = DriftConfig(mode=mode)
+        with pytest.raises(ConfigError):
+            generate_path(10, dim, cfg, np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            generate_path(10, dim, cfg, [np.random.default_rng(0)])
 
     def test_deterministic_given_seed(self):
         cfg = DriftConfig(delta_min=0.5, delta_max=2.0)
@@ -327,3 +399,8 @@ class TestSpreadDriftLimits:
     def test_bad_horizon(self):
         with pytest.raises(ConfigError):
             spread_drift_limits(DriftConfig(), horizon=0, dim=3)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_bad_dim(self, dim):
+        with pytest.raises(ConfigError):
+            spread_drift_limits(DriftConfig(), horizon=100, dim=dim)

@@ -1,6 +1,7 @@
 """Bound checks: structure, small-size smoke runs, and helper oracles."""
 
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from driftpref.config import RunConfig
 from driftpref.env import DriftConfig, generate_path, make_features, spread_drift_limits
 from driftpref.errors import ConfigError
+from driftpref import verify
 from driftpref.verify import (
     _T_EST,
     _tally,
@@ -259,6 +261,54 @@ class TestEstimationErrorCheck:
         assert rep.trials == 1
         assert rep.constants["c_mean"] == rep.constants["c_min"]
         assert abs(rep.constants["c_min"] * window - oracle) < 1e-8
+
+
+class TestSwitchingBudgetMemory:
+    def test_traced_peak_at_default_size(self):
+        # The lockstep walk holds all 100 x 500 x 5 path doubles (2 MB) in
+        # one stack; drawing into per-run lists and stacking them would
+        # hold two copies. A small call first loads what a cold first call
+        # would count (about 0.8 MB of import-time caches).
+        check_switching_budget(runs=2, horizon=20)
+        tracemalloc.start()
+        try:
+            check_switching_budget()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
+
+class TestNegativeControls:
+    """Planted defects that the checks with power must flag.
+
+    At seed 0, local-variation reads a max ratio of 0.987 and
+    kl-perturbation 0.773, so a 10% understated path TV or a KL RHS with
+    beta doubled (the KL scaled by 4) pushes each over its bound.
+    switching-budget (max ratio 0.0025), self-normalized (0.109) and
+    estimation-error (0.0003) sit so far below their bounds that a planted
+    defect of this size cannot show: they have no power until their bounds
+    are replayed in sharp form.
+    """
+
+    def test_local_variation_flags_understated_tv(self, monkeypatch):
+        assert check_local_variation().passed
+        walk = verify.generate_path
+
+        def understated(horizon, dim, cfg, rng):
+            return [replace(path, tv_used=0.9 * path.tv_used)
+                    for path in walk(horizon, dim, cfg, rng)]
+
+        monkeypatch.setattr(verify, "generate_path", understated)
+        rep = check_local_variation()
+        assert rep.violations > 0 and not rep.passed
+
+    def test_kl_perturbation_flags_doubled_beta(self, monkeypatch):
+        assert check_kl_bound().passed
+        kl = verify.kl
+        monkeypatch.setattr(verify, "kl", lambda p, q: 4.0 * kl(p, q))
+        rep = check_kl_bound()
+        assert rep.violations > 0 and not rep.passed
 
 
 class TestRunStandardChecks:
