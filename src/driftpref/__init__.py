@@ -41,7 +41,6 @@ from .policies import (
     gibbs,
     inspector_score,
     kl,
-    kl_rows,
     softmax_rows,
 )
 from .prefloop import (

@@ -36,15 +36,17 @@ def apply_floor(table: np.ndarray, floor: float = DEFAULT_SUPPORT_FLOOR) -> np.n
 def gibbs(
     pi_ref: np.ndarray,
     u: np.ndarray,
-    beta: float,
+    beta: float | np.ndarray,
     floor: float = DEFAULT_SUPPORT_FLOOR,
 ) -> np.ndarray:
     """Tilt reference rows by exp(u / beta) and renormalize (log-domain).
 
-    Accepts a single row (K,) with utilities (K,), or tables (n, K).
-    Maximizes pi @ u - beta * kl(pi, pi_ref) exactly when floor = 0.
+    Accepts a single row (K,) with utilities (K,), or tables (n, K). beta is
+    a scalar or an array that broadcasts against u, such as an (n, 1) column
+    of per-row temperatures. Maximizes pi @ u - beta * kl(pi, pi_ref)
+    exactly when floor = 0.
     """
-    if beta <= 0.0:
+    if np.any(np.asarray(beta) <= 0.0):
         raise ConfigError(f"beta must be positive, got {beta}")
     pi_ref = np.asarray(pi_ref, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -66,44 +68,33 @@ def softmax_rows(logits: np.ndarray, floor: float = DEFAULT_SUPPORT_FLOOR) -> np
     return apply_floor(out, floor)
 
 
-def kl(p: np.ndarray, q: np.ndarray, floor: float = 0.0) -> float:
-    """KL divergence between two probability rows, with 0 * log 0 = 0.
+def kl(p: np.ndarray, q: np.ndarray, floor: float = 0.0) -> float | np.ndarray:
+    """KL divergence between probability rows, with 0 * log 0 = 0.
 
-    Raises if any q entry is nonpositive or sits below the given floor: the
-    divergence is only defined against full-support references.
+    p and q are one row (K,), giving a float, or tables (n, K), giving one
+    value per row. Raises if any q entry is nonpositive or sits below the
+    given floor: the divergence is only defined against full-support
+    references.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ContractError("p and q must be probability rows of equal length")
-    if np.any(q <= 0.0) or np.any(q < floor):
+    if p.shape != q.shape or p.ndim not in (1, 2):
+        raise ContractError("p and q must be probability rows or tables of equal shape")
+    if np.any(q < floor if floor > 0.0 else q <= 0.0):  # one pass: a floor > 0 implies q > 0
         raise ContractError(
             "second argument must have full support (every entry positive and "
             "at least the support floor)"
         )
+    terms = np.zeros_like(p)
     mask = p > 0.0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
-def kl_rows(p_table: np.ndarray, q_table: np.ndarray) -> np.ndarray:
-    """Row-wise KL for tables (n, K); same support requirement as kl()."""
-    p_table = np.asarray(p_table, dtype=float)
-    q_table = np.asarray(q_table, dtype=float)
-    if p_table.shape != q_table.shape or p_table.ndim != 2:
-        raise ContractError("tables must be 2-d with matching shapes")
-    if np.any(q_table <= 0.0):
-        raise ContractError(
-            "second argument must have full support (every entry positive)"
-        )
-    ratio = np.zeros_like(p_table)
-    mask = p_table > 0.0
-    ratio[mask] = p_table[mask] * (np.log(p_table[mask]) - np.log(q_table[mask]))
-    return ratio.sum(axis=1)
+    terms[mask] = p[mask] * (np.log(p[mask]) - np.log(q[mask]))
+    out = terms.sum(axis=-1)
+    return float(out) if p.ndim == 1 else out
 
 
 def gate_kl_estimate(pi_rows: np.ndarray, ref_rows: np.ndarray) -> float:
     """Mean exact per-context KL over the gate subset's rows."""
-    return float(np.mean(kl_rows(pi_rows, ref_rows)))
+    return float(np.mean(kl(pi_rows, ref_rows)))
 
 
 def inspector_score(pi_rows: np.ndarray, u_rows: np.ndarray) -> float:

@@ -93,17 +93,20 @@ def switching_count(thetas: np.ndarray, features: np.ndarray) -> int:
     return int(switch_flags(thetas, features).sum())
 
 
-def min_margin(thetas: np.ndarray, features: np.ndarray) -> float:
+def min_margin(thetas: np.ndarray, features: np.ndarray,
+               flags: np.ndarray | None = None) -> float:
     """Smallest top-two utility gap over switch-free steps.
 
     Steps flagged as switches are excluded: the gap crosses zero there by
-    construction, so only stable steps inform the margin.
+    construction, so only stable steps inform the margin. A caller that
+    already holds switch_flags(thetas, features) passes them as flags.
     """
     thetas, features = _stacked(thetas, features)
     if features.shape[1] < 2:
         raise ContractError("margin needs at least two actions")
+    flags = switch_flags(thetas, features) if flags is None else flags
     u = np.sort(np.matmul(features, thetas[:, :, None])[:, :, 0], axis=1)
-    gaps = (u[:, -1] - u[:, -2])[switch_flags(thetas, features) == 0]
+    gaps = (u[:, -1] - u[:, -2])[flags == 0]
     return float(gaps.min()) if gaps.size else np.inf
 
 

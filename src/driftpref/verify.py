@@ -5,7 +5,10 @@ trial's LHS and RHS, and hands them to one verdict rule (_tally) that counts
 violations. Deterministic inequalities must never violate; probabilistic
 ones are allowed the stated failure rate delta plus three binomial standard
 errors. Every check derives its randomness from (seed, check tag, trial
-index), so reports are reproducible bit for bit.
+index), so reports are reproducible bit for bit. The two Monte-Carlo checks
+draw each trial's values in trial order, as a per-trial loop would, into
+stacks, then score them in vectorized passes: kl-perturbation in one pass,
+self-normalized in blocks of _BLOCK trials. Each trial keeps its bits.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ from .regret import min_margin, slope_fit, switch_flags
 
 # Check tags for RNG substreams (disjoint from the run loops' tags).
 _T_KL, _T_SWITCH, _T_LOCAL, _T_SELF, _T_EST = 101, 102, 103, 104, 105
+
+# Self-normalized trials per vectorized pass, a memory bound: a block's stacks peak
+# near 0.7 MB, where all 2,000 trials at once would hold about 40 MB.
+_BLOCK = 25
 
 # Float-rounding guard for exact inequalities.
 _EXACT_EPS = 1e-9
@@ -97,22 +104,25 @@ def check_kl_bound(
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng([seed, _T_KL])
-    lhs, rhs = [], []
-    for _ in range(trials):
-        feats = make_features(K, d, rng)
-        theta = rng.standard_normal(d)
-        theta /= np.linalg.norm(theta)
-        scale = rng.uniform(0.02, 1.0)
-        theta_hat = theta + scale * rng.standard_normal(d)
-        beta = rng.uniform(0.1, 2.0)
-        ref = rng.dirichlet(np.ones(K))
-        ref = (1.0 - K * 1e-6) * ref + 1e-6  # keep the reference full-support
-        p = gibbs(ref, feats @ theta, beta, floor=0.0)
-        q = gibbs(ref, feats @ theta_hat, beta, floor=0.0)
-        lhs.append(kl(p, q))
-        diff = float(np.linalg.norm(theta - theta_hat))
-        rhs.append(diff * diff / (2.0 * beta * beta))
-    return _tally("kl-perturbation", lhs, rhs,
+    feats = np.empty((trials, K, d))
+    theta, noise = np.empty((2, trials, d))
+    scale, beta = np.empty((2, trials))
+    ref = np.empty((trials, K))
+    for i in range(trials):  # one trial's draws, in its order
+        feats[i] = make_features(K, d, rng)
+        rng.standard_normal(out=theta[i])
+        scale[i] = rng.uniform(0.02, 1.0)
+        rng.standard_normal(out=noise[i])
+        beta[i] = rng.uniform(0.1, 2.0)
+        ref[i] = rng.dirichlet(np.ones(K))
+    # sqrt(vecdot) has the bits of a 1-D np.linalg.norm; a row-wise norm does not.
+    theta /= np.sqrt(np.vecdot(theta, theta))[:, None]
+    theta_hat = theta + scale[:, None] * noise
+    ref = (1.0 - K * 1e-6) * ref + 1e-6  # keep the reference full-support
+    p = gibbs(ref, np.matmul(feats, theta[:, :, None])[:, :, 0], beta[:, None], floor=0.0)
+    q = gibbs(ref, np.matmul(feats, theta_hat[:, :, None])[:, :, 0], beta[:, None], floor=0.0)
+    dist = np.sqrt(np.vecdot(theta - theta_hat, theta - theta_hat))
+    return _tally("kl-perturbation", kl(p, q), dist * dist / (2.0 * beta * beta),
                   constants={"phi_max": 1.0, "K": K, "d": d})
 
 
@@ -139,11 +149,12 @@ def check_switching_budget(
     contexts = [make_features(K, d, rng) for rng in rngs]
     lhs, rhs, gammas = [], [], []
     for feats, path in zip(contexts, generate_path(horizon, d, drift, rngs)):
-        gamma = min_margin(path.thetas, feats)
+        flags = switch_flags(path.thetas, feats)
+        gamma = min_margin(path.thetas, feats, flags)
         if gamma < gamma_floor:
             continue
         gammas.append(gamma)
-        lhs.append(float(switch_flags(path.thetas, feats).sum()))
+        lhs.append(float(flags.sum()))
         rhs.append(2.0 * 1.0 * path.tv_used / gamma)
     return _tally(
         "switching-budget", lhs, rhs, excluded=runs - len(lhs),
@@ -247,20 +258,25 @@ def check_self_normalized(
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     phi_max = 2.0  # winner-minus-loser rows of unit features
-    lhs = []
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, _T_SELF, trial])
-        rows1 = rng.standard_normal((window, d))
-        rows1 /= np.linalg.norm(rows1, axis=1, keepdims=True)
-        rows2 = rng.standard_normal((window, d))
-        rows2 /= np.linalg.norm(rows2, axis=1, keepdims=True)
-        phi = rows1 - rows2
-        theta = rng.standard_normal(d)
-        theta /= np.linalg.norm(theta)
-        p = sigmoid(phi @ theta)
-        labels = rng.uniform(size=window) < p
-        eta = labels.astype(float) - p
-        lhs.append(float(np.linalg.norm(phi.T @ eta)))
+    lhs = np.empty(trials)
+    for start in range(0, trials, _BLOCK):
+        block = range(start, min(start + _BLOCK, trials))
+        rows = np.empty((2, len(block), window, d))
+        theta = np.empty((len(block), d))
+        uniforms = np.empty((len(block), window))
+        for i, trial in enumerate(block):  # one trial's own stream, in its draw order
+            rng = np.random.default_rng([seed, _T_SELF, trial])
+            rng.standard_normal(out=rows[0, i])
+            rng.standard_normal(out=rows[1, i])
+            rng.standard_normal(out=theta[i])
+            rng.random(out=uniforms[i])  # the bits of rng.uniform(size=window)
+        rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+        phi = rows[0] - rows[1]
+        theta /= np.sqrt(np.vecdot(theta, theta))[:, None]
+        p = sigmoid(np.matmul(phi, theta[:, :, None])[:, :, 0])
+        eta = (uniforms < p).astype(float) - p
+        noise_sum = np.matmul(phi.transpose(0, 2, 1), eta[:, :, None])[:, :, 0]
+        lhs[start:block.stop] = np.sqrt(np.vecdot(noise_sum, noise_sum))
     return _tally(
         "self-normalized", lhs, self_normalized_rhs(window, d, lam, delta, phi_max),
         delta=delta,

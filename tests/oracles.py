@@ -4,12 +4,16 @@ The package fits preference pairs as a logistic problem on winner-minus-loser
 feature rows; these are the plain forms of the losses that fit minimizes, and
 a minimizer that reaches the DPO optimum by another route. The report tables
 are written in one %-format each; the row-by-row formatters here are the
-reference for their bytes.
+reference for their bytes. The two Monte-Carlo bound checks score their
+trials in stacks; the per-trial loops here are the reference for the LHS
+and RHS of every trial.
 """
 
 import numpy as np
 
 from driftpref.cli import PHASE_COLUMNS
+from driftpref.env import make_features
+from driftpref.numerics import sigmoid
 from driftpref.regret import RegretLedger
 
 
@@ -115,3 +119,60 @@ def dpo_minimizer(ref_rows, feats, pairs, beta, lam, tol=1e-8, max_iter=100_000)
             return w
         w = w - step * grad
     raise AssertionError(f"gradient descent did not reach tol {tol} in {max_iter} steps")
+
+
+def kl_row(p, q):
+    """KL divergence of one probability row against another, 0 * log 0 = 0."""
+    mask = p > 0.0
+    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+
+
+def kl_bound_trials(trials, K, d, seed, tag):
+    """Per-trial (lhs, rhs) of the Gibbs-tilt KL perturbation check.
+
+    Every trial draws from one generator seeded [seed, tag]: a context, a
+    unit theta, a scale, theta_hat = theta + scale * noise, beta and a
+    Dirichlet reference; lhs = kl(tilt by theta, tilt by theta_hat) and
+    rhs = ||theta - theta_hat||^2 / (2 beta^2).
+    """
+    rng = np.random.default_rng([seed, tag])
+    lhs, rhs = [], []
+    for _ in range(trials):
+        feats = make_features(K, d, rng)
+        theta = rng.standard_normal(d)
+        theta /= np.linalg.norm(theta)
+        scale = rng.uniform(0.02, 1.0)
+        theta_hat = theta + scale * rng.standard_normal(d)
+        beta = rng.uniform(0.1, 2.0)
+        ref = rng.dirichlet(np.ones(K))
+        ref = (1.0 - K * 1e-6) * ref + 1e-6
+        p = tilted_policy(ref, feats, theta, beta)
+        q = tilted_policy(ref, feats, theta_hat, beta)
+        lhs.append(kl_row(p, q))
+        diff = float(np.linalg.norm(theta - theta_hat))
+        rhs.append(diff * diff / (2.0 * beta * beta))
+    return lhs, rhs
+
+
+def self_normalized_trials(trials, window, d, seed, tag):
+    """Per-trial lhs ||phi.T @ eta|| of the self-normalized tail check.
+
+    Trial i draws from its own generator seeded [seed, tag, i]: two tables
+    of unit rows whose difference is phi, a unit theta, and Bernoulli
+    labels with means sigmoid(phi @ theta); eta is labels minus means.
+    """
+    lhs = []
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, tag, trial])
+        rows1 = rng.standard_normal((window, d))
+        rows1 /= np.linalg.norm(rows1, axis=1, keepdims=True)
+        rows2 = rng.standard_normal((window, d))
+        rows2 /= np.linalg.norm(rows2, axis=1, keepdims=True)
+        phi = rows1 - rows2
+        theta = rng.standard_normal(d)
+        theta /= np.linalg.norm(theta)
+        p = sigmoid(phi @ theta)
+        labels = rng.uniform(size=window) < p
+        eta = labels.astype(float) - p
+        lhs.append(float(np.linalg.norm(phi.T @ eta)))
+    return lhs

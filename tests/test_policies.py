@@ -12,7 +12,6 @@ from driftpref.policies import (
     gibbs,
     inspector_score,
     kl,
-    kl_rows,
     softmax_rows,
 )
 
@@ -103,6 +102,22 @@ class TestGibbs:
         with pytest.raises(ConfigError):
             gibbs(np.array([0.5, 0.5]), np.zeros(2), 0.0)
 
+    def test_per_row_beta_matches_row_calls(self):
+        rng = np.random.default_rng(6)
+        ref = np.stack([random_row(rng, 4) for _ in range(20)])
+        u = rng.normal(size=(20, 4))
+        beta = rng.uniform(0.1, 2.0, size=20)
+        for floor in (0.0, 1e-9):
+            out = gibbs(ref, u, beta[:, None], floor=floor)
+            rows = [gibbs(ref[i], u[i], float(beta[i]), floor=floor) for i in range(20)]
+            assert out.tobytes() == np.stack(rows).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_per_row_beta_must_be_positive(self, bad):
+        beta = np.array([[0.5], [bad], [1.0]])
+        with pytest.raises(ConfigError):
+            gibbs(np.full((3, 2), 0.5), np.zeros((3, 2)), beta)
+
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
             gibbs(np.array([0.5, 0.5]), np.zeros(3), 1.0)
@@ -162,13 +177,26 @@ class TestKl:
             p, q = random_row(rng, k), random_row(rng, k)
             assert float(np.abs(p - q).sum()) <= math.sqrt(2.0 * kl(p, q)) + 1e-12
 
-    def test_kl_rows_matches_rowwise_kl(self):
+    def test_table_matches_rowwise_kl(self):
         rng = np.random.default_rng(10)
         p = np.stack([random_row(rng, 4) for _ in range(32)])
+        p[::3, rng.integers(0, 4)] = 0.0  # 0 * log 0 = 0 in any column
+        p /= p.sum(axis=1, keepdims=True)
         q = np.stack([random_row(rng, 4) for _ in range(32)])
-        rows = kl_rows(p, q)
-        for i in range(32):
-            assert abs(rows[i] - kl(p[i], q[i])) < 1e-12
+        rows = kl(p, q)
+        assert rows.shape == (32,)
+        assert rows.tobytes() == np.array([kl(p[i], q[i]) for i in range(32)]).tobytes()
+
+    def test_table_support_and_shape_checks(self):
+        p = np.full((3, 2), 0.5)
+        with pytest.raises(ContractError):
+            kl(p, np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]]))
+        with pytest.raises(ContractError):
+            kl(p, np.full((3, 2), 0.5), floor=0.6)
+        with pytest.raises(ContractError):
+            kl(p, np.full(2, 0.5))
+        with pytest.raises(ContractError):
+            kl(np.full((1, 3, 2), 0.5), np.full((1, 3, 2), 0.5))
 
 
 class TestKlPerturbationBound:

@@ -191,6 +191,16 @@ class TestMinMargin:
                     u = np.sort(table[t] @ thetas[t])
                     best = min(best, float(u[-1] - u[-2]))
             assert min_margin(thetas, feats) == best
+            assert min_margin(thetas, feats, flags) == best
+
+    def test_given_flags_decide_the_excluded_steps(self):
+        thetas = np.array([[1.0, 0.0], [0.5, 0.0], [-1.0, 0.0]])
+        feats = np.array([[1.0, 0.0], [0.6, 0.8]])
+        # top-two gaps 0.4, 0.2, 0.4; the oracle flips at the last step
+        assert list(switch_flags(thetas, feats)) == [0, 0, 1]
+        assert min_margin(thetas, feats) == pytest.approx(0.2)
+        assert min_margin(thetas, feats, np.array([0, 1, 0])) == pytest.approx(0.4)
+        assert min_margin(thetas, feats, np.ones(3, dtype=int)) == np.inf
 
 
 class TestNmr:

@@ -7,12 +7,16 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import oracles
 from driftpref.config import RunConfig
 from driftpref.env import DriftConfig, generate_path, make_features, spread_drift_limits
 from driftpref.errors import ConfigError
 from driftpref import verify
 from driftpref.verify import (
+    _BLOCK,
     _T_EST,
+    _T_KL,
+    _T_SELF,
     _tally,
     _window_distance_sums,
     FrozenBiasReport,
@@ -227,6 +231,18 @@ class TestSelfNormalizedCheck:
         with pytest.raises(ConfigError):
             check_self_normalized(trials=0)
 
+    def test_traced_peak_at_default_size(self):
+        # Blocks of 25 trials peak near 0.7 MB; scoring all 2,000 trials in
+        # one stack would hold about 40 MB.
+        check_self_normalized(trials=2)
+        tracemalloc.start()
+        try:
+            check_self_normalized()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
 
 class TestEstimationErrorCheck:
     def test_small_run_within_allowance(self):
@@ -277,6 +293,52 @@ class TestSwitchingBudgetMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+
+class TestStackedScoringOracle:
+    """The stacked Monte-Carlo checks hand _tally the per-trial loop's bits.
+
+    The reports keep only aggregates, so a one-ulp slip in a trial that is
+    not the max would not show there; this compares every trial's LHS and
+    RHS. The trial counts cover one trial and self-normalized's partial,
+    full and overfull blocks.
+    """
+
+    TRIALS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 2)
+
+    @staticmethod
+    def _captured(monkeypatch):
+        seen = {}
+        tally = verify._tally
+
+        def spy(lemma_id, lhs, rhs, *args, **kwargs):
+            seen["lhs"], seen["rhs"] = lhs, rhs
+            return tally(lemma_id, lhs, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "_tally", spy)
+        return seen
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("trials", TRIALS)
+    def test_kl_perturbation(self, monkeypatch, seed, trials):
+        seen = self._captured(monkeypatch)
+        check_kl_bound(trials=trials, seed=seed)
+        lhs, rhs = oracles.kl_bound_trials(trials, 4, 3, seed, _T_KL)
+        assert self._bits(seen["lhs"]) == self._bits(lhs)
+        assert self._bits(seen["rhs"]) == self._bits(rhs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("trials", TRIALS)
+    def test_self_normalized(self, monkeypatch, seed, trials):
+        seen = self._captured(monkeypatch)
+        check_self_normalized(trials=trials, seed=seed)
+        lhs = oracles.self_normalized_trials(trials, 100, 5, seed, _T_SELF)
+        assert self._bits(seen["lhs"]) == self._bits(lhs)
+        assert seen["rhs"] == self_normalized_rhs(100, 5, 0.1, 0.05, 2.0)
 
 
 class TestNegativeControls:
