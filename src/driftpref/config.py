@@ -27,7 +27,6 @@ class RunConfig:
     V_T: float = 8000.0
     drift_mode: str = "sphere-walk"
     drift_spread: bool = False
-    drift_spread_h: int = 0  # 0 spreads over H; >0 fixes the per-step rate at this horizon
     fixed_context: bool = False
     noise_scale: float = 1.0
     # estimation / policy
@@ -101,8 +100,7 @@ class RunConfig:
             ("eps_s", self.eps_s), ("delta_H", self.delta_H),
             ("ucb_alpha", self.ucb_alpha), ("noise_scale", self.noise_scale),
             ("V_T", self.V_T), ("max_phases", self.max_phases),
-            ("trials", self.trials), ("drift_spread_h", self.drift_spread_h),
-            ("warm_scale", self.warm_scale),
+            ("trials", self.trials), ("warm_scale", self.warm_scale),
         ]
         for name, val in nonneg:
             if val < 0.0:
@@ -122,6 +120,8 @@ class RunConfig:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be nonnegative, got {min(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:

@@ -144,17 +144,18 @@ def generate_path(
     return [_unit_path(thetas, tv, cfg) for thetas, tv in zip(stack, tv_used)]
 
 
-def make_features(n_actions: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one context: an (n_actions, dim) table of unit-length feature rows."""
+def make_features(n_actions: int, dim: int, rng: np.random.Generator,
+                  lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Draw one (n_actions, dim) context of unit-length feature rows, or a lead stack of them."""
     if n_actions < 2 or dim < 1:
         raise ConfigError(f"need n_actions >= 2 and dim >= 1, got {n_actions}, {dim}")
-    rows = rng.standard_normal((n_actions, dim))
-    norms = np.linalg.norm(rows, axis=1)
+    rows = rng.standard_normal((*lead, n_actions, dim))
+    norms = np.linalg.norm(rows, axis=-1)
     while np.any(norms == 0.0):  # practically unreachable
         bad = norms == 0.0
         rows[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(rows, axis=1)
-    rows /= norms[:, None]
+        norms = np.linalg.norm(rows, axis=-1)
+    rows /= norms[..., None]
     return rows
 
 
@@ -179,9 +180,8 @@ def spread_drift_limits(cfg: DriftConfig, horizon: int, dim: int) -> DriftConfig
 
 
 def make_drift(cfg: RunConfig, horizon: int) -> DriftConfig:
-    """The run's drift law, spread over drift_spread_h (or horizon) if drift_spread."""
+    """The run's drift law, spread over horizon if drift_spread."""
     drift = DriftConfig(cfg.delta_min, cfg.delta_max, cfg.drift_mode, cfg.V_T)
     if cfg.drift_spread and drift.mode == "sphere-walk":
-        spread_h = cfg.drift_spread_h if cfg.drift_spread_h > 0 else horizon
-        drift = spread_drift_limits(drift, spread_h, cfg.d)
+        drift = spread_drift_limits(drift, horizon, cfg.d)
     return drift

@@ -423,14 +423,11 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     phase_index = 0
     max_phases = cfg.max_phases if cfg.max_phases > 0 else cfg.rounds // cfg.phase_length
 
-    # One ledger row per round: regret_step is the negated best round score
-    # (scores are negative mean regret), the oracle arm is that proposal's
-    # anchor, and a switch marks a change of best anchor. A round with no
-    # successful proposal keeps nan and anchor -1.
-    n = cfg.rounds
-    led = RegretLedger(t=np.arange(1, n + 1), phase=np.zeros(n, dtype=int), bias=np.zeros(n),
-                       regret_step=np.full(n, np.nan), oracle_arm=np.full(n, -1),
-                       switch=np.zeros(n, dtype=int))
+    # Each round's negated best score (scores are negative mean regret) and
+    # that proposal's anchor; a round with no successful proposal keeps nan
+    # and anchor -1.
+    regret = np.full(cfg.rounds, np.nan)
+    top_anchor = np.full(cfg.rounds, -1)
 
     for r in range(1, cfg.rounds + 1):
         policy_row = softmax_rows(anchor_feats[0] @ g_policy, floor=cfg.pi_min)
@@ -443,9 +440,8 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
         score_window.extend(e.score for e in good)
         if good:
             top = max(good, key=lambda e: (e.score, -e.index))
-            led.regret_step[r - 1] = -top.score
-            led.oracle_arm[r - 1] = top.anchor
-        led.phase[r - 1] = phase_index + 1
+            regret[r - 1] = -top.score
+            top_anchor[r - 1] = top.anchor
 
         if r % cfg.phase_length == 0 and phase_index < max_phases:
             phase_index += 1
@@ -515,10 +511,15 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
             ))
             cfg = strategist_rules(telemetry, cfg)
 
-    # Rounds with no successful proposal do not advance the cumulative column.
-    led.error = led.regret_step
-    led.regret_cum = np.where(np.isnan(led.regret_step), 0.0, led.regret_step).cumsum()
-    led.switch[1:] = led.oracle_arm[1:] != led.oracle_arm[:-1]
+    # One ledger row per round. Rounds with no successful proposal do not
+    # advance the cumulative column; a switch marks a change of best anchor.
+    rounds = np.arange(cfg.rounds)
+    led = RegretLedger(t=rounds + 1,
+                       phase=np.minimum(rounds // cfg.phase_length, max_phases) + 1,
+                       bias=np.zeros(cfg.rounds), error=regret, regret_step=regret,
+                       regret_cum=np.where(np.isnan(regret), 0.0, regret).cumsum(),
+                       oracle_arm=top_anchor,
+                       switch=(np.diff(top_anchor, prepend=top_anchor[0]) != 0).astype(int))
     final_metric = float(np.mean(score_window)) if score_window else math.nan
     return IslandRunResult(ledger=led, final_metric=final_metric, phases=phases,
                            evolving=True, entries=entries, snapshots=snapshots)

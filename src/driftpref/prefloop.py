@@ -7,6 +7,10 @@ fresh gate subset; the best penalized candidate is promoted only when its
 score improvement and its KL distance from the incumbent both clear the gate
 thresholds. The fixed-reference baseline is the identical loop with the gate
 decision forced to reject, so the two variants are bit-compatible.
+The step loop holds only sequential work: the window fit, the learner row,
+the pair draws and the phase gate. It records each step's learner row and
+reference tilt; after the loop, one pass builds the comparator rows, the
+regret split and the ledger.
 
 Policies here are log-linear: a tilt vector g defines softmax(features @ g)
 per context, and promoting a Gibbs tilt of the reference adds w / beta to g.
@@ -156,8 +160,7 @@ def _warm_start(
     """
     rng = np.random.default_rng([seed, _S_WARM])
     n0, K, d = cfg.warm_pairs, cfg.K, cfg.d
-    phi = rng.standard_normal((n0, K, d))
-    phi /= np.linalg.norm(phi, axis=2, keepdims=True)
+    phi = make_features(K, d, rng, (n0,))
     first = rng.integers(K, size=n0)
     raw = rng.integers(K - 1, size=n0)
     second = raw + (raw >= first)
@@ -196,96 +199,77 @@ def run_preference_loop(
 
     path = generate_path(H, d, drift, rng_path)
     if cfg.fixed_context:
-        shared = make_features(K, d, rng_ctx)
-        feats_all = np.broadcast_to(shared, (H, K, d))
+        feats_all = np.broadcast_to(make_features(K, d, rng_ctx), (H, K, d))
     else:
-        feats_all = rng_ctx.standard_normal((H, K, d))
-        feats_all /= np.linalg.norm(feats_all, axis=2, keepdims=True)
+        feats_all = make_features(K, d, rng_ctx, (H,))
     # each (K, d) @ (d,) slice of the batched product has the per-step bits
     utils = np.matmul(feats_all, path.thetas[:, :, None])[:, :, 0]
 
     # each step's difference row and label; step t fits on the W before it
     rows = np.empty((H, d))
     labels = np.empty(H)
+    # each step's played row and reference tilt, for the ledger after the loop
+    learners = np.empty((H, K))
+    g_refs = np.empty((H, d))
     theta_hat = np.zeros(d)
     g_ref = np.zeros(d)
     if cfg.warm_scale > 0.0:
         theta_hat, g_ref = _warm_start(cfg, seed, path.thetas[0])
     ref_version = 0
-    floor = cfg.pi_min
 
     max_phases = cfg.max_phases if cfg.max_phases > 0 else H // cfg.phase_length
     phases: list[PhaseReport] = []
 
-    led = RegretLedger(
-        t=np.arange(1, H + 1),
-        phase=np.zeros(H, dtype=int),
-        bias=np.zeros(H),
-        error=np.zeros(H),
-        regret_step=np.zeros(H),
-        regret_cum=np.zeros(H),
-        oracle_arm=np.argmax(utils, axis=1),
-        switch=switch_flags(path.thetas, feats_all),
-    )
-
-    cum = 0.0
-    phase_index = 0
-    block_end = 0
     for t in range(H):
         phi = feats_all[t]
-        u_true = utils[t]
-
         if t > 0:
             lo = max(0, t - W)
             theta_hat, _ = fit_logistic_window(
                 rows[lo:t], labels[lo:t], cfg.lam, theta0=theta_hat)
 
-        learner = softmax_rows(phi @ (g_ref + theta_hat / cfg.beta), floor=floor)
-        if t == block_end:
-            # g_ref holds until the next gated boundary, so the comparator
-            # rows up to it are one batched softmax (per-step bits, as above)
-            block_start = t
-            block_end = H if phase_index >= max_phases else t + cfg.phase_length
-            vecs = g_ref + path.thetas[t:block_end] / cfg.beta_ref
-            comparators = softmax_rows(
-                np.matmul(feats_all[t:block_end], vecs[:, :, None])[:, :, 0],
-                floor=floor)
-        comparator = comparators[t - block_start]
-
-        # ledger before any phase update: the reference is constant in-phase
-        bias, error = regret_decompose(u_true, learner, comparator)
-        cum += bias + error
-        led.phase[t] = phase_index + 1
-        led.bias[t] = bias
-        led.error[t] = error
-        led.regret_step[t] = bias + error
-        led.regret_cum[t] = cum
+        learner = learners[t] = softmax_rows(phi @ (g_ref + theta_hat / cfg.beta),
+                                             floor=cfg.pi_min)
+        g_refs[t] = g_ref  # before any phase update: the reference is constant in-phase
 
         first = sample_categorical(rng_agent, learner)
         residual = learner.copy()
         residual[first] = 0.0
         second = sample_categorical(rng_agent, residual)
-        gap = float(u_true[first] - u_true[second])
-        p_first = float(sigmoid(gap))
-        first_wins = bool(rng_agent.uniform() < p_first)
         rows[t] = phi[first] - phi[second]
-        labels[t] = 1.0 if first_wins else 0.0
+        # 1.0 when the first action wins, with probability sigmoid(utility gap)
+        labels[t] = rng_agent.uniform() < sigmoid(utils[t, first] - utils[t, second])
 
-        if (t + 1) % cfg.phase_length == 0 and phase_index < max_phases:
-            phase_index += 1
+        if (t + 1) % cfg.phase_length == 0 and len(phases) < max_phases:
             # gated phases run back to back from step 0, so the last
             # dataset_phases of them are one slice; a - b is exactly -(b - a),
             # so each row is the winner minus the loser
             lo = max(0, t + 1 - cfg.dataset_phases * cfg.phase_length)
             dphi = np.where(labels[lo:t + 1, None] == 1.0, rows[lo:t + 1], -rows[lo:t + 1])
             report, g_new, version_new = _run_phase(
-                phase_index, dphi, feats_all, g_ref, ref_version, theta_hat,
+                len(phases) + 1, dphi, feats_all, g_ref, ref_version, theta_hat,
                 path.thetas[t], cfg, rng_gate, evolving,
                 phase_start=t + 1 - cfg.phase_length,
             )
             phases.append(report)
             g_ref, ref_version = g_new, version_new
 
+    # each (K, d) @ (d,) slice and each softmax row has its per-step bits
+    comparators = softmax_rows(
+        np.matmul(feats_all, (g_refs + path.thetas / cfg.beta_ref)[:, :, None])[:, :, 0],
+        floor=cfg.pi_min)
+    bias, error = regret_decompose(utils, learners, comparators)
+    regret_step = bias + error
+    step = np.arange(H)
+    led = RegretLedger(
+        t=step + 1,
+        phase=np.minimum(step // cfg.phase_length, max_phases) + 1,
+        bias=bias,
+        error=error,
+        regret_step=regret_step,
+        regret_cum=np.cumsum(regret_step),
+        oracle_arm=np.argmax(utils, axis=1),
+        switch=switch_flags(path.thetas, feats_all),
+    )
     return PrefRunResult(ledger=led, final_metric=led.final_regret(), phases=phases,
                          evolving=evolving, ref_tilt=g_ref)
 

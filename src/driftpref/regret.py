@@ -46,18 +46,18 @@ def regret_decompose(
     u: np.ndarray,
     pi: np.ndarray,
     pi_kl: np.ndarray,
-) -> tuple[float, float]:
-    """Split one step's regret into (reference bias, learning error).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split regret into (reference bias, learning error), one pair per row.
 
-    bias = J(oracle) - J(comparator), error = J(comparator) - J(played);
-    their sum is the plain per-step regret by construction. The oracle is
-    np.argmax of u (ties to the lowest index, as in ledger.oracle_arm).
+    u, pi and pi_kl are rows (K,) or tables (..., K) of utilities, played
+    policies and comparators. bias = J(oracle) - J(comparator), error =
+    J(comparator) - J(played); their sum is the plain regret by construction.
+    The oracle value is the row maximum of u. Each row's np.vecdot has the
+    bits of the 1-D pi @ u.
     """
     u = np.asarray(u, dtype=float)
-    best = float(u[np.argmax(u)])
-    j_kl = float(np.asarray(pi_kl, dtype=float) @ u)
-    j_pi = float(np.asarray(pi, dtype=float) @ u)
-    return best - j_kl, j_kl - j_pi
+    j_kl = np.vecdot(pi_kl, u)
+    return u.max(axis=-1) - j_kl, j_kl - np.vecdot(pi, u)
 
 
 def _stacked(thetas: np.ndarray, features: np.ndarray):

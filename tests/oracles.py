@@ -6,7 +6,9 @@ a minimizer that reaches the DPO optimum by another route. The report tables
 are written in one %-format each; the row-by-row formatters here are the
 reference for their bytes. The two Monte-Carlo bound checks score their
 trials in stacks; the per-trial loops here are the reference for the LHS
-and RHS of every trial.
+and RHS of every trial. The preference loop builds its regret ledger in one
+pass after its step loop; the per-step ledger loop here is the reference
+for its regret and phase columns.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import numpy as np
 from driftpref.cli import PHASE_COLUMNS
 from driftpref.env import make_features
 from driftpref.numerics import sigmoid
+from driftpref.policies import softmax_rows
 from driftpref.regret import RegretLedger
 
 
@@ -176,3 +179,34 @@ def self_normalized_trials(trials, window, d, seed, tag):
         eta = labels.astype(float) - p
         lhs.append(float(np.linalg.norm(phi.T @ eta)))
     return lhs
+
+
+def preference_ledger(utils, learners, feats, thetas, ref_tilts, cfg):
+    """A preference run's bias, error, regret and phase columns, step by step.
+
+    ref_tilts[k] is the reference tilt in force after k gated phases. Each
+    step's comparator is its own softmax of feats[t] @ (tilt + theta_t /
+    beta_ref); its regret splits against the oracle value and the played row
+    learners[t]. The running sum and the phase counter advance as the step
+    loop did, the counter stopping at max_phases (0: one per boundary).
+    """
+    H = len(utils)
+    max_phases = cfg.max_phases if cfg.max_phases > 0 else H // cfg.phase_length
+    cols = {name: np.empty(H) for name in ("bias", "error", "regret_step", "regret_cum")}
+    cols["phase"] = np.empty(H, dtype=int)
+    cum, phase_index = 0.0, 0
+    for t in range(H):
+        u = utils[t]
+        comparator = softmax_rows(feats[t] @ (ref_tilts[phase_index] + thetas[t] / cfg.beta_ref),
+                                  floor=cfg.pi_min)
+        best = float(u[np.argmax(u)])
+        j_kl = float(comparator @ u)
+        j_pi = float(learners[t] @ u)
+        bias, error = best - j_kl, j_kl - j_pi
+        cum += bias + error
+        cols["phase"][t] = phase_index + 1
+        cols["bias"][t], cols["error"][t] = bias, error
+        cols["regret_step"][t], cols["regret_cum"][t] = bias + error, cum
+        if (t + 1) % cfg.phase_length == 0 and phase_index < max_phases:
+            phase_index += 1
+    return cols

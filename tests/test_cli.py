@@ -468,6 +468,7 @@ class TestMainWiring:
                            "with base 10: 'a'\n"),
         (["--seed", "-1"], "error: seeds must be nonnegative, got -1\n"),
         (["--seeds", "2,-4"], "error: seeds must be nonnegative, got -4\n"),
+        (["--seeds", "0,0"], "error: seeds must be distinct, got [0, 0]\n"),
     ])
     def test_bad_seed_flag_exits_two(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"

@@ -64,6 +64,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="^seeds must be nonnegative"):
             RunConfig(seeds=seeds)
 
+    @pytest.mark.parametrize("seeds", [(0, 0), (3, 1, 3)])
+    def test_duplicate_seeds_rejected(self, seeds):
+        with pytest.raises(ConfigError, match="^seeds must be distinct"):
+            RunConfig(seeds=seeds)
+
     def test_negative_seed_in_config_text_rejected(self):
         with pytest.raises(ConfigError, match="^seeds must be nonnegative"):
             parse_config("seeds = -1\n")
@@ -155,6 +160,10 @@ class TestParseConfig:
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("K = 3\nshenanigans = 1\n")
+
+    def test_removed_spread_horizon_key_is_unknown(self):
+        with pytest.raises(ConfigError, match="line 1: unknown key 'drift_spread_h'"):
+            parse_config("drift_spread_h = 0\n")
 
     def test_malformed_line_names_line(self):
         with pytest.raises(ConfigError, match="line 1"):

@@ -345,6 +345,16 @@ class TestMakeFeatures:
         with pytest.raises(ConfigError):
             make_features(3, 0, np.random.default_rng(0))
 
+    def test_lead_stack_is_successive_contexts(self):
+        # one stacked draw has the bits of one call per context, in order
+        rng = np.random.default_rng(10)
+        stack = make_features(5, 3, rng, (2, 4))
+        one = np.random.default_rng(10)
+        assert stack.shape == (2, 4, 5, 3)
+        assert stack.tobytes() == np.stack([make_features(5, 3, one)
+                                            for _ in range(8)]).tobytes()
+        assert rng.random() == one.random()
+
     def test_deterministic(self):
         a = make_features(6, 4, np.random.default_rng(9))
         b = make_features(6, 4, np.random.default_rng(9))

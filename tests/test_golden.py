@@ -34,8 +34,8 @@ _PREF = RunConfig(H=200, drift_spread=True, fixed_context=True, delta_H=0.1,
 # (one of them between two proposal slots of a round, which pins the
 # cross-island slot order), and verify with a trial override. The phase-fit
 # cases cover a preference run with fresh contexts, one whose phases stop at
-# max_phases (the dataset stops growing and the last comparator block runs
-# to H), one whose gate scores with the true parameter, and an atlas run
+# max_phases (the dataset stops growing and the phase column stops at
+# max_phases + 1), one whose gate scores with the true parameter, and an atlas run
 # whose pair dataset drops its oldest phase (its phases fit 2, 3 and 2 rows,
 # and two of the three accept). The evicting atlas run over three seeds pins
 # the summary's cross-seed statistics: its accept rate pools 8 gated phases,

@@ -555,6 +555,25 @@ class TestRunIslandSearch:
         res = run_island_search(atlas_cfg(phase_length=5, max_phases=2), seed=3)
         assert len(res.phases) == 2
 
+    def test_phase_column_counts_skipped_phases_up_to_the_cap(self, monkeypatch):
+        # every proposal of rounds 3 and 4 fails, so phase 2 is skipped; the
+        # cap of 2 phases holds the column at 3 from round 5 on
+        real = islands.make_episode_scorer
+
+        def failing_scorer(cfg, seed):
+            score = real(cfg, seed)
+
+            def scorer(cands, round_idx):
+                if round_idx in (3, 4):
+                    raise np.linalg.LinAlgError("singular ridge matrix")
+                return score(cands, round_idx)
+            return scorer
+
+        monkeypatch.setattr(islands, "make_episode_scorer", failing_scorer)
+        res = run_island_search(atlas_cfg(rounds=8, phase_length=2, max_phases=2), seed=0)
+        assert [p.decision == "skipped" for p in res.phases] == [False, True]
+        assert res.ledger.phase.tolist() == [1, 1, 2, 2, 3, 3, 3, 3]
+
     def test_snapshot_pairs_respect_top_s_ranking(self):
         res = run_island_search(atlas_cfg(), seed=4)
         assert res.snapshots  # at least one phase built pairs

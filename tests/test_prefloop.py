@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from driftpref import prefloop
 from driftpref.config import RunConfig
 from driftpref.env import generate_path, make_drift
 from driftpref.errors import ConfigError, ContractError, ConvergenceError
@@ -19,7 +20,7 @@ from driftpref.prefloop import (
     run_preference_loop,
     sample_categorical,
 )
-from oracles import dpo_loss, softplus
+from oracles import dpo_loss, preference_ledger, softplus
 
 
 def random_row(rng, k):
@@ -408,8 +409,8 @@ class TestRunPreferenceLoop:
         assert [p.delta_s for p in a.phases] == [p.delta_s for p in b.phases]
 
     def test_comparator_is_the_per_step_softmax(self):
-        # one accepted phase, then the cap: the comparator rows of each block
-        # are a batched softmax with the bits of the per-step one
+        # one accepted phase, then the cap: the comparator rows are one
+        # batched softmax with the bits of the per-step one
         cfg = small_cfg(max_phases=1, eps_s=0.0, delta_H=1e9)
         res = run_preference_loop(cfg, seed=5)
         assert res.ref_version == 1
@@ -423,6 +424,44 @@ class TestRunPreferenceLoop:
             comparator = softmax_rows(feats[t] @ (g_ref + path.thetas[t] / cfg.beta_ref),
                                       floor=cfg.pi_min)
             assert res.ledger.bias[t] == float(u[np.argmax(u)]) - float(comparator @ u)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("overrides", [
+        dict(eps_s=0.0, delta_H=1e9),
+        dict(mode="fixed-ref"),
+        dict(H=55, eps_s=0.0, delta_H=1e9),  # two boundaries and a partial third phase
+        dict(max_phases=1, eps_s=0.0, delta_H=1e9),
+        dict(fixed_context=True, eps_s=0.0, delta_H=1e9),
+        dict(warm_scale=30.0, warm_pairs=400, eps_s=0.0, delta_H=1e9),
+    ], ids=["evolving", "fixed-ref", "partial-phase", "one-phase", "fixed-context",
+            "warm-start"])
+    def test_ledger_matches_the_per_step_loop(self, monkeypatch, seed, overrides):
+        # the learner rows, the path and contexts, and each phase's tilt, as
+        # the run hands them on; the ledger's columns must have the bits of
+        # the per-step loop over them
+        cfg = small_cfg(**overrides)
+        seen = {}
+
+        def spy(name):
+            real = getattr(prefloop, name)
+
+            def wrapper(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.setdefault(name, []).append((args, out))
+                return out
+            monkeypatch.setattr(prefloop, name, wrapper)
+
+        for name in ("regret_decompose", "switch_flags", "_run_phase"):
+            spy(name)
+        res = run_preference_loop(cfg, seed)
+        [((utils, learners, _), _)] = seen["regret_decompose"]
+        [((thetas, feats), _)] = seen["switch_flags"]
+        phase_calls = seen["_run_phase"]
+        tilts = [phase_calls[0][0][3]] + [g_new for _, (_, g_new, _) in phase_calls]
+        assert res.ref_version >= (cfg.mode == "evodpo")
+        want = preference_ledger(utils, learners, feats, thetas, tilts, cfg)
+        for col, values in want.items():
+            assert getattr(res.ledger, col).tobytes() == values.tobytes(), col
 
     def test_phase_cap_past_the_horizon_changes_nothing(self):
         # H = 55 holds two phase boundaries and a partial third phase
