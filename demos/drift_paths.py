@@ -8,16 +8,16 @@ per-step drift limits get rescaled when a path would blow its budget.
 import numpy as np
 
 from driftpref.env import DriftConfig, generate_path, make_features, spread_drift_limits
-from driftpref.regret import min_margin, switching_count
+from driftpref.regret import min_margin, switch_flags
 
 
 def describe(label, cfg, horizon=400, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     feats = make_features(5, dim, np.random.default_rng(99))
     path = generate_path(horizon, dim, cfg, rng)
-    flips = switching_count(path.thetas, feats)
+    flips = int(switch_flags(path.thetas, feats).sum())
     margin = min_margin(path.thetas, feats)
-    print(f"  {label:<22} tv_used={path.tv_used:8.3f}  budget={path.tv_budget:8.1f}"
+    print(f"  {label:<22} tv_used={path.tv_used:8.3f}  budget={cfg.tv_budget:8.1f}"
           f"  best-action flips={flips:3d}  min margin={margin:.4f}")
 
 

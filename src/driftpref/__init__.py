@@ -59,7 +59,6 @@ from .regret import (
     regret_decompose,
     slope_fit,
     switch_flags,
-    switching_count,
 )
 from .verify import (
     FrozenBiasReport,

@@ -110,8 +110,8 @@ class RunConfig:
                               f"got [{self.delta_min}, {self.delta_max}]")
         if not 0.0 < self.kappa <= 1.0:
             raise ConfigError(f"kappa must lie in (0, 1], got {self.kappa}")
-        if not 0.0 <= self.pi_min < 1.0 / self.K:
-            raise ConfigError(f"pi_min must lie in [0, 1/K), got {self.pi_min}")
+        if not 0.0 < self.pi_min < 1.0 / self.K:
+            raise ConfigError(f"pi_min must lie in (0, 1/K), got {self.pi_min}")
         if not 0.0 < self.pass_quantile < 1.0:
             raise ConfigError(
                 f"pass_quantile must lie in (0, 1), got {self.pass_quantile}"

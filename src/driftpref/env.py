@@ -57,10 +57,6 @@ class ThetaPath:
 
     thetas: np.ndarray  # (T, d), unit rows
     tv_used: float
-    tv_budget: float
-
-    def __len__(self) -> int:
-        return self.thetas.shape[0]
 
 
 def _draw(out: np.ndarray, cfg: DriftConfig, rng: np.random.Generator) -> None:
@@ -89,12 +85,12 @@ def _draw(out: np.ndarray, cfg: DriftConfig, rng: np.random.Generator) -> None:
     steps *= (cfg.delta_min + (cfg.delta_max - cfg.delta_min) * np.array(u))[:, None]
 
 
-def _unit_path(thetas: np.ndarray, tv_used: float, cfg: DriftConfig) -> ThetaPath:
+def _unit_path(thetas: np.ndarray, tv_used: float) -> ThetaPath:
     """Wrap a walked path, holding its rows to unit norm."""
     off = np.abs(np.linalg.norm(thetas, axis=1) - 1.0)
     if not np.all(off <= _NORM_TOL):
         raise ContractError(f"theta must have unit norm, got a row off by {float(np.max(off))!r}")
-    return ThetaPath(thetas=thetas, tv_used=float(tv_used), tv_budget=cfg.tv_budget)
+    return ThetaPath(thetas=thetas, tv_used=float(tv_used))
 
 
 def generate_path(
@@ -125,7 +121,7 @@ def generate_path(
                 if not dist > cfg.tv_budget - tv_used:
                     theta, tv_used = p, tv_used + dist
             thetas[t] = theta
-        return _unit_path(thetas, tv_used, cfg)
+        return _unit_path(thetas, tv_used)
     stack = np.empty((len(rng), horizon, dim))  # each run's steps, overwritten by the walk
     for out, gen in zip(stack, rng):
         _draw(out, cfg, gen)
@@ -141,14 +137,14 @@ def generate_path(
         np.copyto(theta, p, where=take[:, None])
         tv_used = np.where(take, tv_used + dist, tv_used)
         stack[:, t] = theta
-    return [_unit_path(thetas, tv, cfg) for thetas, tv in zip(stack, tv_used)]
+    return [_unit_path(thetas, tv) for thetas, tv in zip(stack, tv_used)]
 
 
 def make_features(n_actions: int, dim: int, rng: np.random.Generator,
                   lead: tuple[int, ...] = ()) -> np.ndarray:
     """Draw one (n_actions, dim) context of unit-length feature rows, or a lead stack of them."""
-    if n_actions < 2 or dim < 1:
-        raise ConfigError(f"need n_actions >= 2 and dim >= 1, got {n_actions}, {dim}")
+    if n_actions < 1 or dim < 1:
+        raise ConfigError(f"need n_actions >= 1 and dim >= 1, got {n_actions}, {dim}")
     rows = rng.standard_normal((*lead, n_actions, dim))
     norms = np.linalg.norm(rows, axis=-1)
     while np.any(norms == 0.0):  # practically unreachable

@@ -10,7 +10,7 @@ island plays every episode of the round in one lockstep kernel call. Scores
 stream into a rolling window whose quantile sets the pass threshold. At
 phase boundaries the top-s passed candidates are paired against weaker
 ones, the pairs drive the same gated reference-promotion machinery as the
-preference loop, and simple telemetry rules adjust the phase settings.
+preference loop, and rules on the gate decisions adjust the phase settings.
 The reward-bandit mode plays the same kernel: one candidate, one episode
 per seed, every seed stepped together.
 """
@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import RunConfig
-from .env import ThetaPath, generate_path, make_drift
+from .env import ThetaPath, generate_path, make_drift, make_features
 from .errors import ConfigError, ContractError, ConvergenceError
-from .policies import gate_kl_estimate, inspector_score, softmax_rows
-from .prefloop import PhaseReport, RunRecord, fit_dpo, gate, propose_reference, sample_categorical
+from .policies import softmax_rows
+from .prefloop import (CANDIDATE_LABELS, PhaseReport, RunRecord, fit_dpo, gate,
+                       propose_reference, sample_categorical)
 from .regret import RegretLedger, nmr as nmr_of
 
 # Substream tags (distinct from the preference loop's 0..3).
@@ -158,8 +159,7 @@ def run_reward_episode(
         # A generator fills its output in order, so block draws are the
         # values of one whole-horizon draw; each (K, d) @ (d,) slice of the
         # products has the per-step bits.
-        f = np.stack([rng.standard_normal((n, K, d)) for rng in rngs_ctx], axis=1)
-        f /= np.linalg.norm(f, axis=3, keepdims=True)
+        f = np.stack([make_features(K, d, rng, (n,)) for rng in rngs_ctx], axis=1)
         noise = np.stack([rng.standard_normal(n) for rng in rngs_noise], axis=1)
         steps = np.arange(t0, t0 + n)
         utils = np.matmul(f, np.stack([p.thetas[block] for p in paths], axis=1)[..., None])[..., 0]
@@ -243,7 +243,6 @@ class IslandEntry:
     candidate: StrategyCandidate
     score: float
     failure: bool = False
-    passed: bool | None = None
 
 
 @dataclass
@@ -254,13 +253,6 @@ class IslandState:
     proposal_scale: float = 1.0
     best_score: float = -math.inf
     non_improving: int = 0
-
-
-@dataclass
-class Telemetry:
-    """Rolling gate outcomes the strategist reacts to."""
-
-    decisions: list[str] = field(default_factory=list)
 
 
 def island_step(
@@ -338,11 +330,9 @@ def build_pairs_top_s(
     if s < 1:
         raise ConfigError(f"s must be >= 1, got {s}")
     ok = [e for e in entries if not e.failure]
-    for e in ok:
-        e.passed = bool(e.score >= threshold)
-    passed = sorted((e for e in ok if e.passed), key=lambda e: (-e.score, e.index))
+    passed = sorted((e for e in ok if e.score >= threshold), key=lambda e: (-e.score, e.index))
     winners = passed[:s]
-    pool_failed = [e for e in ok if not e.passed]
+    pool_failed = [e for e in ok if e.score < threshold]
     pool_lower = passed[s:]
     pairs: list[tuple[int, int]] = []
     records: list[dict] = []
@@ -364,8 +354,8 @@ def build_pairs_top_s(
     return pairs, records
 
 
-def strategist_rules(telemetry: Telemetry, cfg: RunConfig) -> RunConfig:
-    """Adjust phase settings from recent gate outcomes.
+def strategist_rules(decisions: list[str], cfg: RunConfig) -> RunConfig:
+    """Adjust phase settings from the gate decisions so far.
 
     Two consecutive rejections soften the fit temperature (beta * 0.8,
     floored) and raise the pass quantile; acceptances leave settings alone.
@@ -373,8 +363,7 @@ def strategist_rules(telemetry: Telemetry, cfg: RunConfig) -> RunConfig:
     """
     beta = cfg.beta
     quantile = cfg.pass_quantile
-    if len(telemetry.decisions) >= 2 and telemetry.decisions[-1] == "reject" \
-            and telemetry.decisions[-2] == "reject":
+    if decisions[-2:] == ["reject", "reject"]:
         beta = max(0.1, beta * 0.8)
         quantile = min(0.9, quantile + 0.1)
     beta = float(min(5.0, max(0.1, beta)))
@@ -419,7 +408,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     dataset: deque[np.ndarray] = deque(maxlen=cfg.dataset_phases)  # per-phase rows
     phases: list[PhaseReport] = []
     snapshots: list[PhaseSnapshot] = []
-    telemetry = Telemetry()
+    decisions: list[str] = []
     phase_index = 0
     max_phases = cfg.max_phases if cfg.max_phases > 0 else cfg.rounds // cfg.phase_length
 
@@ -490,26 +479,23 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                 softmax_rows(anchor_feats[0] @ g, floor=cfg.pi_min)[None, :]
                 for g in tilts
             ]
-            best, _ = propose_reference(cand_rows, cand_rows[2], u_rows, cfg.beta_ref)
-            delta_s = inspector_score(cand_rows[best], u_rows) - inspector_score(
-                cand_rows[2], u_rows)
-            kl_hat = gate_kl_estimate(cand_rows[best], cand_rows[2])
+            best, delta_s, kl_hat = propose_reference(cand_rows, u_rows, cfg.beta_ref)
             accepted = gate(delta_s, kl_hat, cfg)
             decision = "accept" if accepted else "reject"
             ref_version_before = ref_version
             if accepted and best != 2:
                 g_ref = tilts[best]
                 ref_version += 1
-            telemetry.decisions.append(decision)
+            decisions.append(decision)
             phases.append(PhaseReport(
                 phase_index=phase_index, n_pairs=len(dphi),
-                delta_s=float(delta_s), kl_hat=float(kl_hat), decision=decision,
-                accepted=accepted, chosen=("full", "half", "reference")[best],
+                delta_s=delta_s, kl_hat=kl_hat, decision=decision,
+                accepted=accepted, chosen=CANDIDATE_LABELS[best],
                 ref_version_before=ref_version_before,
                 ref_version_after=ref_version, beta=cfg.beta, eps_s=cfg.eps_s,
                 delta_H=cfg.delta_H, gate_size=take,
             ))
-            cfg = strategist_rules(telemetry, cfg)
+            cfg = strategist_rules(decisions, cfg)
 
     # One ledger row per round. Rounds with no successful proposal do not
     # advance the cumulative column; a switch marks a change of best anchor.

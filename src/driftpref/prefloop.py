@@ -72,29 +72,24 @@ def fit_dpo(dphi: np.ndarray, lam: float) -> np.ndarray:
 
 def propose_reference(
     candidate_rows: list[np.ndarray],
-    ref_rows: np.ndarray,
     u_rows: np.ndarray,
     beta_ref: float,
-) -> tuple[int, np.ndarray]:
+) -> tuple[int, float, float]:
     """Pick the candidate maximizing score minus beta_ref * KL to the incumbent.
 
-    Scores and KL are means over the gate subset's rows. Ties resolve to the
-    earliest candidate. Returns (index, penalized objectives).
+    The incumbent is the last candidate. Scores and KL are means over the
+    gate subset's rows. Ties resolve to the earliest candidate. Returns
+    (index, its score minus the incumbent's, its KL to the incumbent).
     """
     if beta_ref <= 0.0:
         raise ConfigError(f"beta_ref must be positive, got {beta_ref}")
     if not candidate_rows:
         raise ContractError("need at least one candidate")
-    objectives = np.empty(len(candidate_rows))
-    for i, rows in enumerate(candidate_rows):
-        objectives[i] = inspector_score(rows, u_rows) - beta_ref * gate_kl_estimate(
-            rows, ref_rows
-        )
-    best = 0
-    for i in range(1, len(candidate_rows)):
-        if objectives[i] > objectives[best]:
-            best = i
-    return best, objectives
+    scores = [inspector_score(rows, u_rows) for rows in candidate_rows]
+    kls = [gate_kl_estimate(rows, candidate_rows[-1]) for rows in candidate_rows]
+    objectives = [s - beta_ref * k for s, k in zip(scores, kls)]
+    best = max(range(len(objectives)), key=objectives.__getitem__)
+    return best, scores[best] - scores[-1], kls[best]
 
 
 def gate(delta_s: float, kl_hat: float, cfg: RunConfig) -> bool:
@@ -308,12 +303,7 @@ def _run_phase(
         softmax_rows(np.einsum("nkd,d->nk", gate_feats, g), floor=cfg.pi_min)
         for g in tilts
     ]
-    ref_rows = cand_rows[2]
-    best, _ = propose_reference(cand_rows, ref_rows, u_rows, cfg.beta_ref)
-    delta_s = inspector_score(cand_rows[best], u_rows) - inspector_score(
-        ref_rows, u_rows
-    )
-    kl_hat = gate_kl_estimate(cand_rows[best], ref_rows)
+    best, delta_s, kl_hat = propose_reference(cand_rows, u_rows, cfg.beta_ref)
 
     passes = gate(delta_s, kl_hat, cfg)
     accepted = bool(passes and evolving)
@@ -330,8 +320,8 @@ def _run_phase(
     report = PhaseReport(
         phase_index=phase_index,
         n_pairs=len(dphi),
-        delta_s=float(delta_s),
-        kl_hat=float(kl_hat),
+        delta_s=delta_s,
+        kl_hat=kl_hat,
         decision=decision,
         accepted=accepted,
         chosen=CANDIDATE_LABELS[best],

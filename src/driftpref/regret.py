@@ -9,7 +9,7 @@ is the price of the reference, the second the price of estimation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +20,14 @@ from .errors import ContractError
 class RegretLedger:
     """Column-oriented per-step record of one run."""
 
-    t: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    phase: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    bias: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    error: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    regret_step: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    regret_cum: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    oracle_arm: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    switch: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    t: np.ndarray
+    phase: np.ndarray
+    bias: np.ndarray
+    error: np.ndarray
+    regret_step: np.ndarray
+    regret_cum: np.ndarray
+    oracle_arm: np.ndarray
+    switch: np.ndarray
 
     COLUMNS = ("t", "phase", "bias", "error", "regret_step", "regret_cum",
                "oracle_arm", "switch")
@@ -36,7 +36,7 @@ class RegretLedger:
         return self.t.shape[0]
 
     def final_regret(self) -> float:
-        return float(self.regret_cum[-1]) if len(self) else 0.0
+        return float(self.regret_cum[-1])
 
     def cumulative_bias(self) -> float:
         return float(self.bias.sum())
@@ -86,11 +86,6 @@ def switch_flags(thetas: np.ndarray, features: np.ndarray) -> np.ndarray:
     flags = np.zeros(thetas.shape[0], dtype=int)
     flags[1:] = np.argmax(now, axis=1) != np.argmax(prev, axis=1)
     return flags
-
-
-def switching_count(thetas: np.ndarray, features: np.ndarray) -> int:
-    """Number of oracle changes along the path (see switch_flags)."""
-    return int(switch_flags(thetas, features).sum())
 
 
 def min_margin(thetas: np.ndarray, features: np.ndarray,

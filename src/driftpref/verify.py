@@ -310,6 +310,8 @@ def check_estimation_error(
     """
     if runs < 1 or checks_per_run < 1:
         raise ConfigError("runs and checks_per_run must be >= 1")
+    if K < 2:
+        raise ConfigError(f"random pairs need K >= 2, got {K}")
     if horizon <= window:
         raise ConfigError("horizon must exceed the window length")
     drift = spread_drift_limits(DriftConfig(1.0, 5.0, "sphere-walk", v_total), horizon, d)

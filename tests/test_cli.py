@@ -165,7 +165,10 @@ class TestOnePassTablesMatchRowByRow:
         assert phases_csv(phases) == oracles.phases_csv_rows(phases)
 
     def test_empty_tables(self):
-        assert steps_csv(RegretLedger()) == oracles.steps_csv_rows(RegretLedger())
+        ints, floats = np.zeros(0, dtype=int), np.zeros(0)
+        led = RegretLedger(t=ints, phase=ints, bias=floats, error=floats, regret_step=floats,
+                           regret_cum=floats, oracle_arm=ints, switch=ints)
+        assert steps_csv(led) == oracles.steps_csv_rows(led)
         assert phases_csv([]) == oracles.phases_csv_rows([])
         assert phases_csv([]) == "k,n_pairs,delta_S,kl_hat,accepted,beta,eps_s,delta_H\n"
 
@@ -449,6 +452,16 @@ class TestMainWiring:
         cfg.write_text(f"mode = {mode}\nH = 50\nseeds = 0\n{key} = nan\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert f"error: {key} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_pi_min_exits_two_naming_the_key(self, tmp_path, capsys):
+        # with a zero floor this run's gate once failed on a KL against a
+        # reference row with exact zeros, in an error that named no key
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("mode = evodpo\nH = 200\nseeds = 0\npi_min = 0.0\n"
+                       "warm_scale = 2000\nwarm_pairs = 400\nbeta = 0.05\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "error: pi_min must lie in (0, 1/K)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_huge_drift_limit_exits_two(self, tmp_path, capsys):

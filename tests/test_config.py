@@ -45,6 +45,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="pi_min"):
             RunConfig(K=2, pi_min=0.5)
         RunConfig(K=2, pi_min=0.4)  # fine
+        # a zero floor lets a saturated softmax row hold exact zeros, which
+        # the gate's KL rejects as a reference
+        for val in (0.0, -1e-9):
+            with pytest.raises(ConfigError, match="pi_min"):
+                RunConfig(K=2, pi_min=val)
+        RunConfig(K=2, pi_min=1e-300)  # fine
 
     def test_drift_limits_ordered(self):
         with pytest.raises(ConfigError, match="delta_min"):

@@ -78,7 +78,7 @@ def reference_path(horizon, dim, cfg, rng):
             continue
         thetas[t] = proposal
         tv_used += float(np.linalg.norm(thetas[t] - thetas[t - 1]))
-    return ThetaPath(thetas=thetas, tv_used=tv_used, tv_budget=cfg.tv_budget)
+    return ThetaPath(thetas=thetas, tv_used=tv_used)
 
 
 class ZeroDirectionRng:
@@ -119,7 +119,6 @@ class ZeroDirectionRng:
 def assert_same_path(a, b, rng_a, rng_b):
     assert a.thetas.tobytes() == b.thetas.tobytes()
     assert a.tv_used == b.tv_used
-    assert a.tv_budget == b.tv_budget
     # callers draw from the same stream after the path
     assert rng_a.random() == rng_b.random()
 
@@ -201,7 +200,6 @@ class TestLockstepOracle:
             ref = reference_path(horizon, dim, cfg, gens[2])
             assert path.thetas.tobytes() == single.thetas.tobytes() == ref.thetas.tobytes()
             assert path.tv_used == single.tv_used == ref.tv_used
-            assert path.tv_budget == cfg.tv_budget
             # each generator is left where its own call leaves it
             assert gens[0].random() == gens[1].random() == gens[2].random()
         return paths
@@ -285,7 +283,7 @@ class TestGeneratePath:
         rng = np.random.default_rng(4)
         cfg = DriftConfig(delta_min=0.2, delta_max=1.5, tv_budget=1e9)
         path = generate_path(300, 5, cfg, rng)
-        assert len(path) == 300
+        assert path.thetas.shape == (300, 5)
         assert np.allclose(np.linalg.norm(path.thetas, axis=1), 1.0, atol=1e-12)
         steps = np.linalg.norm(np.diff(path.thetas, axis=0), axis=1)
         assert abs(path.tv_used - steps.sum()) < 1e-9
@@ -338,8 +336,10 @@ class TestMakeFeatures:
         assert np.all(np.isin(feats, (-1.0, 1.0)))
 
     def test_too_few_actions(self):
-        with pytest.raises(ConfigError):
-            make_features(1, 3, np.random.default_rng(0))
+        for n_actions in (0, -1):
+            with pytest.raises(ConfigError):
+                make_features(n_actions, 3, np.random.default_rng(0))
+        assert make_features(1, 3, np.random.default_rng(0)).shape == (1, 3)
 
     def test_bad_dim(self):
         with pytest.raises(ConfigError):

@@ -13,7 +13,6 @@ from driftpref.errors import ConfigError, ContractError
 from driftpref.islands import (
     IslandState,
     StrategyCandidate,
-    Telemetry,
     build_pairs_top_s,
     candidate_descriptor,
     default_anchor_panel,
@@ -480,34 +479,34 @@ class TestBuildPairsTopS:
 class TestStrategistRules:
     def test_empty_history_unchanged(self):
         cfg = RunConfig(beta=0.6)
-        out = strategist_rules(Telemetry(), cfg)
+        out = strategist_rules([], cfg)
         assert out.beta == 0.6
         assert out.pass_quantile == cfg.pass_quantile
 
     def test_two_rejects_soften_and_tighten(self):
         cfg = RunConfig(beta=0.6, pass_quantile=0.5)
-        out = strategist_rules(Telemetry(decisions=["reject", "reject"]), cfg)
+        out = strategist_rules(["reject", "reject"], cfg)
         assert abs(out.beta - 0.48) < 1e-12
         assert abs(out.pass_quantile - 0.6) < 1e-12
 
     def test_mixed_history_unchanged(self):
         cfg = RunConfig(beta=0.6)
-        out = strategist_rules(Telemetry(decisions=["reject", "accept"]), cfg)
+        out = strategist_rules(["reject", "accept"], cfg)
         assert out.beta == 0.6
 
     def test_beta_floor(self):
         cfg = RunConfig(beta=0.11)
-        out = strategist_rules(Telemetry(decisions=["reject", "reject"]), cfg)
+        out = strategist_rules(["reject", "reject"], cfg)
         assert out.beta == 0.1
 
     def test_beta_clamped_into_range(self):
         cfg = RunConfig(beta=6.0)
-        out = strategist_rules(Telemetry(decisions=["accept"]), cfg)
+        out = strategist_rules(["accept"], cfg)
         assert out.beta == 5.0
 
     def test_quantile_cap(self):
         cfg = RunConfig(beta=1.0, pass_quantile=0.85)
-        out = strategist_rules(Telemetry(decisions=["reject", "reject"]), cfg)
+        out = strategist_rules(["reject", "reject"], cfg)
         assert abs(out.pass_quantile - 0.9) < 1e-12
 
 
@@ -631,6 +630,10 @@ class TestRunRewardBandit:
         [a] = run_reward_bandit(short, [0])
         [b] = run_reward_bandit(long, [0])
         assert not np.array_equal(a.ledger.regret_cum, b.ledger.regret_cum)
+
+    def test_one_action_has_no_regret(self):
+        [res] = run_reward_bandit(RunConfig(mode="reward-bandit", K=1, H=50), [0])
+        assert not res.ledger.regret_cum.any() and not res.ledger.switch.any()
 
     def test_seeds_stepped_together_match_each_seed_alone(self):
         cfg = RunConfig(mode="reward-bandit", K=4, d=3, H=2 * islands._BLOCK + 37,

@@ -241,63 +241,65 @@ class TestFitDpo:
 
 
 class TestProposeReference:
+    """The incumbent is the last candidate; the gain and KL are the chosen one's."""
+
     def test_reference_alone_scores_unpenalized(self):
         rng = np.random.default_rng(6)
         ref = np.stack([random_row(rng, 3) for _ in range(5)])
         u = rng.normal(size=(5, 3))
-        best, objectives = propose_reference([ref], ref, u, beta_ref=0.5)
-        assert best == 0
-        assert abs(objectives[0] - inspector_score(ref, u)) < 1e-12
+        assert propose_reference([ref], u, beta_ref=0.5) == (0, 0.0, 0.0)
 
     def test_equal_kl_candidates_ranked_by_score(self):
         ref = np.array([[0.5, 0.5]])
         a = np.array([[0.7, 0.3]])
         b = np.array([[0.3, 0.7]])  # same KL to uniform by symmetry
         u = np.array([[1.0, 0.0]])
-        best, _ = propose_reference([b, a], ref, u, beta_ref=0.1)
+        best, delta_s, kl_hat = propose_reference([b, a, ref], u, beta_ref=0.1)
         assert best == 1
+        assert abs(delta_s - 0.2) < 1e-15
+        assert kl_hat == gate_kl_estimate(a, ref)
 
     def test_penalty_overturns_raw_score(self):
         ref = np.array([[0.5, 0.5]])
         sharp = np.array([[0.999, 0.001]])
         u = np.array([[1.0, 0.9]])  # sharp gains little score but much KL
-        best, _ = propose_reference([sharp, ref], ref, u, beta_ref=5.0)
-        assert best == 1
+        assert propose_reference([sharp, ref], u, beta_ref=5.0) == (1, 0.0, 0.0)
 
     def test_matches_brute_force_objective(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             n, k = 4, 3
-            ref = np.stack([random_row(rng, k) for _ in range(n)])
             cands = [
-                np.stack([random_row(rng, k) for _ in range(n)]) for _ in range(3)
+                np.stack([random_row(rng, k) for _ in range(n)]) for _ in range(4)
             ]
+            ref = cands[-1]
             u = rng.normal(size=(n, k))
             beta_ref = float(rng.uniform(0.01, 1.0))
-            best, objectives = propose_reference(cands, ref, u, beta_ref)
+            best, delta_s, kl_hat = propose_reference(cands, u, beta_ref)
             oracle = [
                 inspector_score(c, u) - beta_ref * gate_kl_estimate(c, ref)
                 for c in cands
             ]
-            assert np.allclose(objectives, oracle, atol=1e-12)
             want = 0
-            for i in range(1, 3):
+            for i in range(1, 4):
                 if oracle[i] > oracle[want]:
                     want = i
             assert best == want
+            assert delta_s == inspector_score(cands[want], u) - inspector_score(ref, u)
+            assert kl_hat == gate_kl_estimate(cands[want], ref)
 
     def test_ties_resolve_to_earliest(self):
         ref = np.array([[0.5, 0.5]])
         u = np.array([[0.2, 0.8]])
-        best, _ = propose_reference([ref.copy(), ref.copy()], ref, u, beta_ref=1.0)
+        best, _, _ = propose_reference([ref.copy(), ref.copy(), ref], u, beta_ref=1.0)
         assert best == 0
 
     def test_validation(self):
         ref = np.array([[0.5, 0.5]])
         with pytest.raises(ConfigError):
-            propose_reference([ref], ref, np.zeros((1, 2)), beta_ref=0.0)
+            propose_reference([ref], np.zeros((1, 2)), beta_ref=0.0)
         with pytest.raises(ContractError):
-            propose_reference([], ref, np.zeros((1, 2)), beta_ref=1.0)
+            propose_reference([], np.zeros((1, 2)), beta_ref=1.0)
 
 
 class TestGate:

@@ -258,6 +258,10 @@ class TestEstimationErrorCheck:
         with pytest.raises(ConfigError):
             check_estimation_error(runs=1, window=100, horizon=100)
 
+    def test_random_pairs_need_two_actions(self):
+        with pytest.raises(ConfigError, match="K >= 2"):
+            check_estimation_error(runs=1, K=1)
+
     def test_c_min_matches_bisection_oracle(self):
         # one run with one check step (t = window): replay the run's draws
         # and recompute the covariance floor of its window rows
