@@ -6,7 +6,7 @@ feature row is the difference between the two compared actions' features and
 the label is 1 when the first action won.
 
 The logistic solve is numerics.newton_logistic, the same solver the
-preference-loop phase fits use.
+preference-loop phase fits use; it fits a stack of windows in one solve.
 """
 
 from __future__ import annotations
@@ -36,20 +36,21 @@ def fit_logistic_window(
 ) -> tuple[np.ndarray, float]:
     """Minimize the regularized preference log-loss over the window's rows.
 
-    X is (n, d), oldest row first; p holds one label in [0, 1] per row. Zero
-    rows yield the zero estimate. Returns (theta_hat, residual gradient
-    norm); raises ConvergenceError if the solve does not converge.
+    X is (n, d), oldest row first, or a stack (B, n, d) of windows; p holds
+    one label in [0, 1] per row, and theta0 one start per window. Zero rows
+    yield the zero estimate. Returns (theta_hat, residual gradient norm),
+    stacked as X is; raises ConvergenceError if a solve does not converge.
     """
     if lam <= 0.0:
         raise ConfigError(f"lam must be positive, got {lam}")
     X = np.asarray(X, dtype=float)
     p = np.asarray(p, dtype=float)
-    if X.ndim != 2 or p.shape != (X.shape[0],):
-        raise ContractError("window rows must be (n, d) with one label per row")
+    if X.ndim not in (2, 3) or p.shape != X.shape[:-1]:
+        raise ContractError("window rows must be (n, d) or (B, n, d) with one label per row")
     if np.any((p < 0.0) | (p > 1.0)):
         raise ContractError("preference labels must lie in [0, 1]")
-    if X.shape[0] == 0:
-        return np.zeros(X.shape[1]), 0.0
+    if X.shape[-2] == 0:
+        return np.zeros(X.shape[:-2] + X.shape[-1:]), (np.zeros(len(X)) if X.ndim == 3 else 0.0)
     return newton_logistic(X, p, lam, "window logistic fit", theta0)
 
 

@@ -1,8 +1,9 @@
-"""The stable sigmoid and the package's one logistic solver."""
+"""The stable sigmoid and the package's one logistic solver, which takes stacks."""
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 
 import numpy as np
 
@@ -25,58 +26,83 @@ NEWTON_MAX_ITER = 500
 
 
 def _logistic_eval(theta, X, p, lam):
-    """(objective, sigmoid(z)) at theta, from one z = X @ theta and one exp(-|z|)."""
-    z = X @ theta
+    """Each member's objective (a list of floats) and sigmoid(z), from one z = X @ theta."""
+    z = np.matvec(X, theta)
     e = np.exp(-np.abs(z))  # log(1 + exp(z)) = max(z, 0) + log1p(e), without overflow
-    obj = float(np.sum(np.maximum(z, 0.0) + np.log1p(e) - p * z) + 0.5 * lam * theta @ theta)
-    return obj, np.where(z >= 0, 1.0, e) / (1.0 + e)
+    loss = np.maximum(z, 0.0)
+    loss += np.log1p(e)
+    loss -= p * z
+    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return (np.add.reduce(loss, 1) + np.vecdot(0.5 * lam * theta, theta)).tolist(), s
 
 
 def newton_logistic(X, p, lam, name, theta0=None):
     """Minimize sum(log(1 + exp(X @ theta)) - p * (X @ theta)) + lam/2 |theta|^2.
 
-    Damped Newton with Armijo backtracking and a gradient-step fallback. The
-    problem is strictly convex for lam > 0, so the minimizer is unique and
-    the solve is deterministic. One X @ theta per iterate gives its objective
-    and sigmoid; the accepted Armijo candidate (or the gradient step) carries
-    both into the next Newton step. Returns (theta, residual gradient norm).
-    Raises ConvergenceError, with name in its message, if the gradient norm
-    has not reached NEWTON_TOL within NEWTON_MAX_ITER Newton steps.
+    X is one problem (n, d) or a stack (B, n, d); p is a scalar or one label
+    per row, theta0 None (zeros) or one start per problem. Damped Newton with
+    Armijo backtracking and a gradient-step fallback (Boyd and Vandenberghe,
+    9.5); lam > 0 makes the solve unique and deterministic. One loop steps
+    the stack, giving each member the bits of its own solve; only members
+    whose full step fails backtrack, and a member leaves once it converges.
+    Returns (theta, residual gradient norm), stacked as X is. Raises
+    ConvergenceError, naming name and in a stack the first unconverged
+    member, if NEWTON_MAX_ITER Newton steps leave a gradient above NEWTON_TOL.
     """
-    d = X.shape[1]
-    theta = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    if single := X.ndim == 2:
+        X, p = X[None], p[None] if isinstance(p, np.ndarray) else p
+    B, _, d = X.shape
+    theta = np.zeros((B, d)) if theta0 is None else np.array(theta0, dtype=float, ndmin=2)
+    done, members = {}, list(range(B))  # converged members' (theta, grad norm)
     ridge = lam * np.eye(d)
     obj, s = _logistic_eval(theta, X, p, lam)
     for newton_step in range(NEWTON_MAX_ITER + 1):
-        grad = X.T @ (s - p) + lam * theta
-        grad_norm = math.sqrt(grad.dot(grad))  # the bits of np.linalg.norm
-        if grad_norm <= NEWTON_TOL:
-            return theta, grad_norm
+        grad = np.vecmat(s - p, X) + lam * theta
+        grad_norm = list(map(math.sqrt, np.vecdot(grad, grad).tolist()))
+        if min(grad_norm) <= NEWTON_TOL:  # min skips nans after member 0; nan never converges
+            if single:
+                return theta[0], grad_norm[0]
+            keep = [i for i, g in enumerate(grad_norm) if not g <= NEWTON_TOL]
+            done.update(zip(members, zip(theta, grad_norm)))  # the rest are rewritten later
+            if not keep:  # the stack's thetas and grad norms, in member order
+                return tuple(np.array(v) for v in zip(*(done[m] for m in range(B))))
+            p = np.broadcast_to(p, X.shape[:2])[keep]
+            X, theta, s, grad = X[keep], theta[keep], s[keep], grad[keep]
+            obj, members, grad_norm = ([v[i] for i in keep] for v in (obj, members, grad_norm))
         if newton_step == NEWTON_MAX_ITER:
-            raise ConvergenceError(f"{name} did not converge", theta, grad_norm)
-        w = s * (1.0 - s)
-        hess = (X * w[:, None]).T @ X + ridge
+            where = "" if single else f" member {members[0]}"
+            raise ConvergenceError(f"{name}{where} did not converge", theta[0], grad_norm[0])
+        # the Newton step is theta - newton, so slope = grad @ newton is minus the descent slope
+        hess = (X * (s * (1.0 - s))[..., None]).mT @ X + ridge
         try:
-            direction = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            direction = -grad
-        if grad @ direction >= 0.0:  # not a descent direction; fall back
-            direction = -grad
-        # Armijo backtracking on the damped step. The absolute slack keeps
-        # the search from stalling when the attainable decrease (~grad^2)
-        # falls below float rounding at the objective's scale; Newton's
-        # quadratic contraction then finishes the last digits.
-        step = 1.0
-        slope = float(grad @ direction)
-        slack = 1e-12 * max(1.0, abs(obj))
-        for _ in range(60):
-            cand = theta + step * direction
-            cand_obj, cand_s = _logistic_eval(cand, X, p, lam)
-            if cand_obj <= obj + 1e-4 * step * slope + slack:
-                theta, obj, s = cand, cand_obj, cand_s
-                break
-            step *= 0.5
-        else:
-            step = 1.0 / (0.25 * float(np.sum(X * X)) + lam)  # inverse smoothness
-            theta = theta - step * grad
-            obj, s = _logistic_eval(theta, X, p, lam)
+            newton = np.linalg.solve(hess, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # one member at a time; a singular one steps along -grad
+            newton = grad.copy()
+            for i in range(len(members)):
+                with suppress(np.linalg.LinAlgError):
+                    newton[i] = np.linalg.solve(hess[i], grad[i])
+        slope = np.vecdot(grad, newton).tolist()
+        if not min(slope) > 0.0:
+            for i in [i for i, g in enumerate(slope) if g <= 0.0]:  # not a descent direction
+                newton[i] = grad[i]
+                slope[i] = float(grad[i] @ newton[i])
+        # Armijo backtracking, then an inverse-smoothness gradient step. The slack
+        # keeps the search from stalling when the decrease (~grad^2) falls below
+        # float rounding; Newton's quadratic contraction finishes the last digits.
+        cand = theta - newton
+        cand_obj, cand_s = _logistic_eval(cand, X, p, lam)
+        step, pending = 1.0, range(len(members))
+        while step > 2.0 ** -60 and (pending := [
+                i for i in pending if not cand_obj[i]
+                <= obj[i] - 1e-4 * step * slope[i] + 1e-12 * max(1.0, abs(obj[i]))]):
+            step *= 0.5  # 60 candidates, steps 1 to 2^-59
+            if step > 2.0 ** -60:
+                cand[pending] = theta[pending] - step * newton[pending]
+            else:
+                cand[pending] = [theta[i] - 1.0 / (0.25 * float(np.sum(X[i] * X[i])) + lam)
+                                 * grad[i] for i in pending]
+            trial_obj, cand_s[pending] = _logistic_eval(
+                cand[pending], X[pending], np.broadcast_to(p, X.shape[:2])[pending], lam)
+            for i, o in zip(pending, trial_obj):
+                cand_obj[i] = o
+        theta, obj, s = cand, cand_obj, cand_s

@@ -8,16 +8,24 @@ reference for their bytes. The two Monte-Carlo bound checks score their
 trials in stacks; the per-trial loops here are the reference for the LHS
 and RHS of every trial. The preference loop builds its regret ledger in one
 pass after its step loop; the per-step ledger loop here is the reference
-for its regret and phase columns.
+for its regret and phase columns. The estimation-error check fits each
+run's windows as one stack; the per-window loop here is the reference for
+every trial's LHS, RHS and covariance floor.
 """
 
 import numpy as np
 
 from driftpref.cli import PHASE_COLUMNS
-from driftpref.env import make_features
+from driftpref.env import DriftConfig, generate_path, make_features, spread_drift_limits
+from driftpref.estimator import (
+    estimation_error_rhs,
+    fit_logistic_window,
+    min_curvature_constant,
+)
 from driftpref.numerics import sigmoid
 from driftpref.policies import softmax_rows
 from driftpref.regret import RegretLedger
+from driftpref.verify import local_window_variation
 
 
 def fmt_float(x) -> str:
@@ -210,3 +218,39 @@ def preference_ledger(utils, learners, feats, thetas, ref_tilts, cfg):
         if (t + 1) % cfg.phase_length == 0 and phase_index < max_phases:
             phase_index += 1
     return cols
+
+
+def estimation_error_trials(runs, checks_per_run, window, horizon, K, d, lam, delta,
+                            v_total, seed, tag):
+    """Per-trial (lhs, rhs, c) of the estimation-error check, one window fit at a time.
+
+    Run r draws from its own generator seeded [seed, tag, r]: a fixed
+    context, its drift path, then random pairs and their labels. At each
+    check step t the window is the W rows before t; lhs is the fit's error
+    ||theta_hat - theta_t||, c = lambda_min(X^T X + lam I) / W, and rhs the
+    three-term bound with the window's drift total.
+    """
+    drift = spread_drift_limits(DriftConfig(1.0, 5.0, "sphere-walk", v_total), horizon, d)
+    m0 = min_curvature_constant(1.0, 1.0)
+    check_steps = np.unique(np.linspace(window, horizon - 1, checks_per_run).astype(int))
+    lhs, rhs, c_values = [], [], []
+    for run in range(runs):
+        rng = np.random.default_rng([seed, tag, run])
+        feats = make_features(K, d, rng)
+        path = generate_path(horizon, d, drift, rng)
+        first = rng.integers(0, K, size=horizon)
+        second = rng.integers(0, K - 1, size=horizon)
+        second = second + (second >= first)
+        dphi = feats[first] - feats[second]
+        z = np.einsum("td,td->t", dphi, path.thetas)
+        labels = (rng.uniform(size=horizon) < sigmoid(z)).astype(float)
+        v_local = local_window_variation(path.thetas, window)
+        for t in check_steps:
+            X = dphi[t - window:t]
+            theta_hat, _ = fit_logistic_window(X, labels[t - window:t], lam)
+            lhs.append(float(np.linalg.norm(theta_hat - path.thetas[t])))
+            c = float(np.linalg.eigvalsh(X.T @ X + lam * np.eye(d))[0]) / window
+            c_values.append(c)
+            rhs.append(estimation_error_rhs(float(v_local[t]), window, lam, d, delta, m0, c,
+                                            phi_max=2.0, theta_max=1.0))
+    return lhs, rhs, c_values

@@ -176,6 +176,21 @@ class TestFitLogisticWindow:
         assert err.value.iterate.shape == (3,)
         assert err.value.residual > 0.0
 
+    def test_stack_fits_each_window_as_its_own_fit(self):
+        rng = np.random.default_rng(26)
+        theta_star = unit(rng, 4)
+        rows = [preference_rows(rng, 90, 4, theta_star) for _ in range(3)]
+        X, p = np.stack([x for x, _ in rows]), np.stack([q for _, q in rows])
+        starts = rng.standard_normal((3, 4))
+        thetas, norms = fit_logistic_window(X, p, lam=0.2, theta0=starts)
+        for i in range(3):
+            theta, norm = fit_logistic_window(X[i], p[i], lam=0.2, theta0=starts[i])
+            assert thetas[i].tobytes() == theta.tobytes() and norms[i] == norm
+        empty, zero = fit_logistic_window(np.zeros((2, 0, 4)), np.zeros((2, 0)), lam=0.2)
+        assert np.array_equal(empty, np.zeros((2, 4))) and np.array_equal(zero, np.zeros(2))
+        with pytest.raises(ContractError):
+            fit_logistic_window(X, p[:, :-1], lam=0.2)
+
     def test_deterministic(self):
         rng = np.random.default_rng(25)
         X, p = preference_rows(rng, 60, 4, unit(rng, 4))

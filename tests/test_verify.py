@@ -132,6 +132,10 @@ class TestSwitchingBudgetCheck:
         with pytest.raises(ConfigError):
             check_switching_budget(runs=0)
 
+    def test_margins_need_two_actions(self):
+        with pytest.raises(ConfigError, match="K >= 2"):
+            check_switching_budget(runs=1, K=1)
+
 
 class TestLocalWindowVariation:
     def test_matches_brute_force(self):
@@ -299,6 +303,22 @@ class TestSwitchingBudgetMemory:
         assert peak < 3e6
 
 
+class TestEstimationErrorMemory:
+    def test_traced_peak_at_default_size(self):
+        # With one stack per run (8 windows of 100 x 5 rows) the check peaks
+        # near 1.0 MB, most of it the 50 runs' drift paths; one stack of all
+        # 400 windows peaks near 8.4 MB. A small call first loads what a
+        # cold first call would count.
+        check_estimation_error(runs=1)
+        tracemalloc.start()
+        try:
+            check_estimation_error()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+
 class TestStackedScoringOracle:
     """The stacked Monte-Carlo checks hand _tally the per-trial loop's bits.
 
@@ -451,3 +471,46 @@ class TestFrozenBiasCheck:
         assert a.fixed_mean_abs_bias >= 0.0
         assert a.ceiling == 1e-3
         assert asdict(a) == asdict(b)
+
+
+class TestEstimationErrorOracle:
+    """Each run's stacked window fits hand _tally the per-window loop's bits.
+
+    The report keeps only aggregates; this compares every trial's LHS, RHS
+    and covariance floor c with tests/oracles.py's one-fit-per-window loop,
+    over seeds and sizes from one check step per run to a run's full stack.
+    """
+
+    SIZES = [  # runs, checks_per_run, window, horizon
+        (1, 1, 100, 340),
+        (3, 8, 100, 340),
+        (2, 5, 30, 90),
+        (4, 3, 12, 40),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("runs, checks, window, horizon", SIZES)
+    def test_matches_per_window_fits(self, monkeypatch, seed, runs, checks, window, horizon):
+        seen, c_seen = {}, []
+        tally, rhs_of = verify._tally, verify.estimation_error_rhs
+
+        def spy_tally(lemma_id, lhs, rhs, *args, **kwargs):
+            seen["lhs"], seen["rhs"] = lhs, rhs
+            return tally(lemma_id, lhs, rhs, *args, **kwargs)
+
+        def spy_rhs(v_window, W, lam, d, delta, m0, c, **kwargs):
+            c_seen.append(c)
+            return rhs_of(v_window, W, lam, d, delta, m0, c, **kwargs)
+
+        monkeypatch.setattr(verify, "_tally", spy_tally)
+        monkeypatch.setattr(verify, "estimation_error_rhs", spy_rhs)
+        check_estimation_error(runs=runs, checks_per_run=checks, window=window,
+                               horizon=horizon, seed=seed)
+        lhs, rhs, c = oracles.estimation_error_trials(
+            runs, checks, window, horizon, 5, 5, 0.1, 0.05, 0.2, seed, _T_EST)
+        bits = TestStackedScoringOracle._bits
+        assert len(lhs) == runs * len(np.unique(
+            np.linspace(window, horizon - 1, checks).astype(int)))
+        assert bits(seen["lhs"]) == bits(lhs)
+        assert bits(seen["rhs"]) == bits(rhs)
+        assert bits(c_seen) == bits(c)
