@@ -39,7 +39,8 @@ def fit_logistic_window(
     X is (n, d), oldest row first, or a stack (B, n, d) of windows; p holds
     one label in [0, 1] per row, and theta0 one start per window. Zero rows
     yield the zero estimate. Returns (theta_hat, residual gradient norm),
-    stacked as X is; raises ConvergenceError if a solve does not converge.
+    stacked as X is. Raises ContractError for a nan label, one outside [0, 1]
+    or a start of the wrong shape; ConvergenceError if a solve does not converge.
     """
     if lam <= 0.0:
         raise ConfigError(f"lam must be positive, got {lam}")
@@ -47,10 +48,12 @@ def fit_logistic_window(
     p = np.asarray(p, dtype=float)
     if X.ndim not in (2, 3) or p.shape != X.shape[:-1]:
         raise ContractError("window rows must be (n, d) or (B, n, d) with one label per row")
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ContractError("preference labels must lie in [0, 1]")
-    if X.shape[-2] == 0:
+    if theta0 is not None and np.shape(theta0) != X.shape[:-2] + X.shape[-1:]:
+        raise ContractError("theta0 must hold one start of length d per window")
+    if not p.size:
         return np.zeros(X.shape[:-2] + X.shape[-1:]), (np.zeros(len(X)) if X.ndim == 3 else 0.0)
+    if not (np.minimum.reduce(p, None) >= 0.0 and np.maximum.reduce(p, None) <= 1.0):
+        raise ContractError("preference labels must lie in [0, 1]")
     return newton_logistic(X, p, lam, "window logistic fit", theta0)
 
 

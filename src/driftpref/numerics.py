@@ -11,7 +11,11 @@ from .errors import ConvergenceError
 
 
 def sigmoid(z):
-    """Logistic function, stable for large |z|: 1/(1 + e) or e/(1 + e), e = exp(-|z|)."""
+    """Logistic function, stable for large |z|: 1/(1 + e) or e/(1 + e), e = exp(-|z|).
+
+    Each entry of an array carries its scalar call's bits, so the preference
+    loop reads every label's win probability from one table.
+    """
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
     out = np.where(z >= 0, 1.0, e) / (1.0 + e)
@@ -28,11 +32,14 @@ NEWTON_MAX_ITER = 500
 def _logistic_eval(theta, X, p, lam):
     """Each member's objective (a list of floats) and sigmoid(z), from one z = X @ theta."""
     z = np.matvec(X, theta)
-    e = np.exp(-np.abs(z))  # log(1 + exp(z)) = max(z, 0) + log1p(e), without overflow
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)  # log(1 + exp(z)) = max(z, 0) + log1p(e), no overflow
+    s = np.exp(np.minimum(z, 0.0))  # exactly 1 or e, so s below is sigmoid(z)
     loss = np.maximum(z, 0.0)
     loss += np.log1p(e)
     loss -= p * z
-    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e += 1.0
+    s /= e
     return (np.add.reduce(loss, 1) + np.vecdot(0.5 * lam * theta, theta)).tolist(), s
 
 
@@ -54,7 +61,8 @@ def newton_logistic(X, p, lam, name, theta0=None):
     B, _, d = X.shape
     theta = np.zeros((B, d)) if theta0 is None else np.array(theta0, dtype=float, ndmin=2)
     done, members = {}, list(range(B))  # converged members' (theta, grad norm)
-    ridge = lam * np.eye(d)
+    ridge = np.zeros((d, d))
+    ridge.flat[:: d + 1] = lam
     obj, s = _logistic_eval(theta, X, p, lam)
     for newton_step in range(NEWTON_MAX_ITER + 1):
         grad = np.vecmat(s - p, X) + lam * theta

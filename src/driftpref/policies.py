@@ -62,10 +62,9 @@ def gibbs(
 def softmax_rows(logits: np.ndarray, floor: float = DEFAULT_SUPPORT_FLOOR) -> np.ndarray:
     """Row-wise softmax with the support floor; logits shape (..., K)."""
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    out = weights / weights.sum(axis=-1, keepdims=True)
-    return apply_floor(out, floor)
+    weights = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    return apply_floor(weights, floor)
 
 
 def kl(p: np.ndarray, q: np.ndarray, floor: float = 0.0) -> float | np.ndarray:

@@ -8,9 +8,9 @@ score improvement and its KL distance from the incumbent both clear the gate
 thresholds. The fixed-reference baseline is the identical loop with the gate
 decision forced to reject, so the two variants are bit-compatible.
 The step loop holds only sequential work: the window fit, the learner row,
-the pair draws and the phase gate. It records each step's learner row and
-reference tilt; after the loop, one pass builds the comparator rows, the
-regret split and the ledger.
+the pair draws (on the row as Python floats, each label's win probability
+read from one table) and the phase gate. It records each step's learner
+row and reference tilt; after the loop, one pass builds the ledger.
 
 Policies here are log-linear: a tilt vector g defines softmax(features @ g)
 per context, and promoting a Gibbs tilt of the reference adds w / beta to g.
@@ -19,7 +19,9 @@ per context, and promoting a Gibbs tilt of the reference adds w / beta to g.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,11 +99,18 @@ def gate(delta_s: float, kl_hat: float, cfg: RunConfig) -> bool:
     return bool(delta_s >= cfg.eps_s and kl_hat <= cfg.delta_H)
 
 
-def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """One inverse-CDF draw; consumes exactly one uniform."""
-    cdf = np.cumsum(probs)
-    u = rng.uniform() * cdf[-1]
-    return min(int(np.searchsorted(cdf, u, side="right")), probs.shape[0] - 1)
+def sample_categorical(rng: np.random.Generator, weights: list[float] | np.ndarray) -> int:
+    """One inverse-CDF draw on Python floats; consumes exactly one uniform.
+
+    Raises ContractError, before the draw, unless every weight is >= 0 and
+    their total is positive and finite (a nan weight makes the total nan).
+    """
+    if isinstance(weights, np.ndarray):
+        weights = weights.tolist()
+    cdf = list(accumulate(weights))
+    if not (cdf and 0.0 < cdf[-1] < math.inf) or min(weights) < 0.0:
+        raise ContractError("weights must be nonnegative with a positive finite total")
+    return min(bisect_right(cdf, rng.uniform() * cdf[-1]), len(cdf) - 1)
 
 
 @dataclass(kw_only=True)
@@ -211,6 +220,8 @@ def run_preference_loop(
     if cfg.warm_scale > 0.0:
         theta_hat, g_ref = _warm_start(cfg, seed, path.thetas[0])
     ref_version = 0
+    # P(a beats b at step t); made after the warm start, which sets the peak memory
+    win_prob = sigmoid(utils[:, :, None] - utils[:, None, :])
 
     max_phases = cfg.max_phases if cfg.max_phases > 0 else H // cfg.phase_length
     phases: list[PhaseReport] = []
@@ -226,13 +237,12 @@ def run_preference_loop(
                                              floor=cfg.pi_min)
         g_refs[t] = g_ref  # before any phase update: the reference is constant in-phase
 
-        first = sample_categorical(rng_agent, learner)
-        residual = learner.copy()
-        residual[first] = 0.0
-        second = sample_categorical(rng_agent, residual)
+        weights = learner.tolist()
+        first = sample_categorical(rng_agent, weights)
+        weights[first] = 0.0  # the second action differs from the first
+        second = sample_categorical(rng_agent, weights)
         rows[t] = phi[first] - phi[second]
-        # 1.0 when the first action wins, with probability sigmoid(utility gap)
-        labels[t] = rng_agent.uniform() < sigmoid(utils[t, first] - utils[t, second])
+        labels[t] = rng_agent.uniform() < win_prob[t, first, second]  # 1.0: the first wins
 
         if (t + 1) % cfg.phase_length == 0 and len(phases) < max_phases:
             # gated phases run back to back from step 0, so the last

@@ -10,7 +10,10 @@ and RHS of every trial. The preference loop builds its regret ledger in one
 pass after its step loop; the per-step ledger loop here is the reference
 for its regret and phase columns. The estimation-error check fits each
 run's windows as one stack; the per-window loop here is the reference for
-every trial's LHS, RHS and covariance floor.
+every trial's LHS, RHS and covariance floor. The preference loop draws its
+pair from Python floats and reads each label's probability from one table;
+the array draw, the per-step scalar label and the method-based softmax here
+are the references for their bits.
 """
 
 import numpy as np
@@ -254,3 +257,26 @@ def estimation_error_trials(runs, checks_per_run, window, horizon, K, d, lam, de
             rhs.append(estimation_error_rhs(float(v_local[t]), window, lam, d, delta, m0, c,
                                             phi_max=2.0, theta_max=1.0))
     return lhs, rhs, c_values
+
+
+def cumsum_draw(rng, probs):
+    """One inverse-CDF draw through np.cumsum and np.searchsorted."""
+    cdf = np.cumsum(probs)
+    u = rng.uniform() * cdf[-1]
+    return min(int(np.searchsorted(cdf, u, side="right")), probs.shape[0] - 1)
+
+
+def step_label(u, utils_t, first, second):
+    """A step's label from its uniform and a scalar sigmoid of the utility gap."""
+    return u < sigmoid(utils_t[first] - utils_t[second])
+
+
+def method_softmax_rows(logits, floor):
+    """Row-wise softmax through the array methods, then the support floor."""
+    logits = np.asarray(logits, dtype=float)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    weights = np.exp(shifted)
+    out = weights / weights.sum(axis=-1, keepdims=True)
+    if floor == 0.0:
+        return out
+    return (1.0 - logits.shape[-1] * floor) * out + floor

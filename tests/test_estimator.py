@@ -33,6 +33,11 @@ def preference_rows(rng, n, d, theta_star):
     return rows, labels
 
 
+def no_newton(*args, **kwargs):
+    """Stands in for the solver where a check must raise before any Newton step."""
+    raise AssertionError("newton_logistic was called")
+
+
 def gd_logistic_oracle(X, p, lam, tol=1e-9, max_iter=500_000):
     """Fixed-step gradient descent at the inverse smoothness constant."""
     theta = np.zeros(X.shape[1])
@@ -154,6 +159,33 @@ class TestFitLogisticWindow:
     def test_label_range_enforced(self):
         with pytest.raises(ContractError):
             fit_logistic_window(np.array([[1.0, 0.0]]), np.array([2.0]), lam=0.1)
+
+    def test_nan_label_raises_before_any_newton_step(self, monkeypatch):
+        # a nan passes a (p < 0) | (p > 1) test; without the check, one nan in
+        # a window ran Newton steps until a ConvergenceError with a nan residual
+        monkeypatch.setattr("driftpref.estimator.newton_logistic", no_newton)
+        rng = np.random.default_rng(27)
+        X, p = preference_rows(rng, 50, 3, unit(rng, 3))
+        p[17] = np.nan
+        with pytest.raises(ContractError, match="labels"):
+            fit_logistic_window(X, p, lam=0.1)
+        stack = [preference_rows(rng, 50, 3, unit(rng, 3)) for _ in range(3)]
+        Xs, ps = np.stack([x for x, _ in stack]), np.stack([q for _, q in stack])
+        ps[1, 0] = np.nan  # one member's oldest row
+        with pytest.raises(ContractError, match="labels"):
+            fit_logistic_window(Xs, ps, lam=0.1)
+
+    def test_start_of_the_wrong_shape_rejected(self, monkeypatch):
+        monkeypatch.setattr("driftpref.estimator.newton_logistic", no_newton)
+        rng = np.random.default_rng(28)
+        X, p = preference_rows(rng, 20, 3, unit(rng, 3))
+        for theta0 in (np.zeros(2), np.zeros(4), np.zeros((1, 3)), [0.0, 0.0]):
+            with pytest.raises(ContractError, match="theta0"):
+                fit_logistic_window(X, p, lam=0.1, theta0=theta0)
+        Xs, ps = np.stack([X, X]), np.stack([p, p])
+        for theta0 in (np.zeros(3), np.zeros((2, 4)), np.zeros((3, 3))):
+            with pytest.raises(ContractError, match="theta0"):
+                fit_logistic_window(Xs, ps, lam=0.1, theta0=theta0)
 
     def test_shape_contract(self):
         with pytest.raises(ContractError):

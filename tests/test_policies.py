@@ -14,6 +14,7 @@ from driftpref.policies import (
     kl,
     softmax_rows,
 )
+from oracles import method_softmax_rows
 
 
 def random_row(rng, k):
@@ -139,6 +140,20 @@ class TestSoftmaxRows:
     def test_floor_applied(self):
         out = softmax_rows(np.array([[100.0, 0.0]]), floor=1e-9)
         assert out.min() >= 1e-9
+
+
+class TestSoftmaxOracle:
+    def test_bits_match_the_method_based_softmax(self):
+        # softmax_rows reduces through np.maximum.reduce and np.add.reduce and
+        # divides in place; the array methods are the reference for its bits
+        rng = np.random.default_rng(35)
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            shape = [(k,), (int(rng.integers(1, 40)), k), (3, 4, k)][int(rng.integers(3))]
+            logits = float(rng.choice([1e-3, 1.0, 30.0, 1000.0])) * rng.standard_normal(shape)
+            for floor in (0.0, 1e-9, 0.01):
+                out = softmax_rows(logits, floor=floor)
+                assert out.tobytes() == method_softmax_rows(logits, floor).tobytes()
 
 
 class TestKl:

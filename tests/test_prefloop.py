@@ -20,7 +20,7 @@ from driftpref.prefloop import (
     run_preference_loop,
     sample_categorical,
 )
-from oracles import dpo_loss, preference_ledger, softplus
+from oracles import cumsum_draw, dpo_loss, preference_ledger, softplus, step_label
 
 
 def random_row(rng, k):
@@ -30,6 +30,16 @@ def random_row(rng, k):
 
 def tv(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+class FixedUniform:
+    """A stand-in generator whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
 
 
 def bisect_root(fn, lo, hi, iters=300):
@@ -349,13 +359,6 @@ class TestSampleCategorical:
         # the loop draws its second action from the learner row with the
         # first one zeroed, so a pair always compares two distinct actions;
         # that holds at both ends of the uniform, the last index included
-        class FixedUniform:
-            def __init__(self, u):
-                self.u = u
-
-            def uniform(self):
-                return self.u
-
         rng = np.random.default_rng(12)
         ends = [FixedUniform(0.0), FixedUniform(np.nextafter(1.0, 0.0))]
         for _ in range(200):
@@ -367,6 +370,98 @@ class TestSampleCategorical:
                 residual[zeroed] = 0.0
                 for source in [rng] * 40 + ends:
                     assert sample_categorical(source, residual) != zeroed
+
+    @pytest.mark.parametrize("weights", [
+        [0.0, 0.0, 0.0, 0.0],  # no mass
+        [0.2, math.nan, 0.3],
+        [0.5, -0.9, 0.1],  # positive total, one negative weight
+        [math.inf, 1.0],
+        [1e308, 1e308],  # each finite, the total not
+        [],
+    ])
+    def test_invalid_weights_rejected_before_the_draw(self, weights):
+        for given in (weights, np.array(weights)):
+            rng = np.random.default_rng(13)
+            state = rng.bit_generator.state
+            with pytest.raises(ContractError, match="weights"):
+                sample_categorical(rng, given)
+            assert rng.bit_generator.state == state  # no uniform consumed
+
+
+class TestDrawOracle:
+    """The draw on Python floats against the np.cumsum / np.searchsorted draw."""
+
+    ENDS = (0.0, float(np.nextafter(1.0, 0.0)))
+
+    def assert_same_draws(self, weights, seeds):
+        as_array = np.array(weights)
+        sources = [(FixedUniform(u), FixedUniform(u)) for u in self.ENDS]
+        sources += [(np.random.default_rng(s), np.random.default_rng(s)) for s in seeds]
+        for source, twin in sources:
+            assert sample_categorical(source, weights) == cumsum_draw(twin, as_array)
+            assert sample_categorical(source, as_array) == cumsum_draw(twin, as_array)
+            assert source.uniform() == twin.uniform()  # one uniform per draw
+
+    def test_floored_rows_with_one_entry_zeroed(self):
+        rng = np.random.default_rng(31)
+        for case in range(300):
+            k = int(rng.integers(2, 9))
+            scale = float(rng.choice([1.0, 30.0, 1000.0]))  # large: entries at the floor
+            weights = softmax_rows(scale * rng.standard_normal(k), floor=1e-9).tolist()
+            weights[int(rng.integers(k))] = 0.0
+            self.assert_same_draws(weights, seeds=range(10 * case, 10 * case + 10))
+
+    def test_unnormalized_weights(self):
+        rng = np.random.default_rng(32)
+        for case in range(200):
+            k = int(rng.integers(2, 9))
+            scale = float(rng.choice([1e-300, 1e-3, 1.0, 7.0, 1e300]))
+            self.assert_same_draws((scale * rng.random(k)).tolist(),
+                                   seeds=range(10 * case, 10 * case + 10))
+
+    def test_a_uniform_on_a_cdf_value_takes_the_next_index(self):
+        # u * total == cdf[0] exactly: the draw is the first index whose cdf exceeds it
+        weights = [0.25, 0.25, 0.5]
+        assert sample_categorical(FixedUniform(0.25), weights) == 1
+        assert cumsum_draw(FixedUniform(0.25), np.array(weights)) == 1
+        self.assert_same_draws(weights, seeds=range(50))
+
+    def test_a_subnormal_total_stays_in_range(self):
+        # at a subnormal total, the top uniform times the total rounds up to
+        # the total itself, so only the clamp keeps the index below K
+        tiny = 5e-324
+        for weights in ([tiny, tiny], [tiny, 2 * tiny, tiny]):
+            top = FixedUniform(self.ENDS[1])
+            assert sample_categorical(top, weights) == len(weights) - 1
+            self.assert_same_draws(weights, seeds=range(20))
+
+
+class TestLabelOracle:
+    """The loop's label table against the per-step scalar label."""
+
+    def test_table_entries_carry_the_scalar_sigmoid_bits(self):
+        rng = np.random.default_rng(33)
+        for scale in (1e-3, 1.0, 40.0, 800.0):  # 800: exp(-|gap|) underflows
+            utils = scale * rng.standard_normal((40, 6))
+            table = sigmoid(utils[:, :, None] - utils[:, None, :])  # as the loop builds it
+            for t, a, b in np.ndindex(table.shape):
+                p = table[t, a, b]
+                assert p.tobytes() == np.float64(sigmoid(utils[t, a] - utils[t, b])).tobytes()
+                for u in (0.0, float(p), float(np.nextafter(p, 0.0)), rng.uniform()):
+                    assert (u < p) == step_label(u, utils[t], a, b)
+
+    def test_the_loop_builds_one_table(self, monkeypatch):
+        # one sigmoid call of shape (H, K, K) replaces the H scalar calls
+        calls = []
+
+        def recording_sigmoid(z):
+            calls.append(np.shape(z))
+            return sigmoid(z)
+
+        monkeypatch.setattr(prefloop, "sigmoid", recording_sigmoid)
+        cfg = small_cfg(warm_scale=0.0)
+        run_preference_loop(cfg, 3)
+        assert calls == [(cfg.H, cfg.K, cfg.K)]
 
 
 def small_cfg(**overrides):
