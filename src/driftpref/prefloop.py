@@ -19,7 +19,7 @@ per context, and promoting a Gibbs tilt of the reference adds w / beta to g.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -100,7 +100,7 @@ def gate(delta_s: float, kl_hat: float, cfg: RunConfig) -> bool:
 
 
 def sample_categorical(rng: np.random.Generator, weights: list[float] | np.ndarray) -> int:
-    """One inverse-CDF draw on Python floats; consumes exactly one uniform.
+    """One inverse-CDF draw on Python floats; takes one uniform, never draws a zero weight.
 
     Raises ContractError, before the draw, unless every weight is >= 0 and
     their total is positive and finite (a nan weight makes the total nan).
@@ -110,7 +110,9 @@ def sample_categorical(rng: np.random.Generator, weights: list[float] | np.ndarr
     cdf = list(accumulate(weights))
     if not (cdf and 0.0 < cdf[-1] < math.inf) or min(weights) < 0.0:
         raise ContractError("weights must be nonnegative with a positive finite total")
-    return min(bisect_right(cdf, rng.uniform() * cdf[-1]), len(cdf) - 1)
+    i = bisect_right(cdf, rng.uniform() * cdf[-1])
+    # u * total rounds up to the total only when the total is subnormal
+    return i if i < len(cdf) else bisect_left(cdf, cdf[-1])
 
 
 @dataclass(kw_only=True)
@@ -160,16 +162,20 @@ def _warm_start(
     Returns (initial estimate, initial reference tilt). The tilt direction
     comes from data only; warm_scale fixes its length, playing the role of
     the initial policy's sharpness. Both loop variants share this start, so
-    the fixed-reference arm begins well adapted and then ages.
+    the fixed-reference arm begins well adapted and then ages. At its peak it
+    holds the contexts, the difference rows and one gather of them; the fit
+    runs after the contexts are released.
     """
     rng = np.random.default_rng([seed, _S_WARM])
     n0, K, d = cfg.warm_pairs, cfg.K, cfg.d
     phi = make_features(K, d, rng, (n0,))
     first = rng.integers(K, size=n0)
-    raw = rng.integers(K - 1, size=n0)
-    second = raw + (raw >= first)
+    second = rng.integers(K - 1, size=n0)
+    second += second >= first
     rows = np.arange(n0)
-    dphi = phi[rows, first] - phi[rows, second]
+    dphi = phi[rows, first]
+    dphi -= phi[rows, second]
+    del phi  # the fit needs only dphi
     wins = rng.uniform(size=n0) < sigmoid(dphi @ theta0)
     theta_hat, _ = fit_logistic_window(dphi, wins.astype(float), cfg.lam)
     norm = float(np.linalg.norm(theta_hat))

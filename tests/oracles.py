@@ -13,7 +13,8 @@ run's windows as one stack; the per-window loop here is the reference for
 every trial's LHS, RHS and covariance floor. The preference loop draws its
 pair from Python floats and reads each label's probability from one table;
 the array draw, the per-step scalar label and the method-based softmax here
-are the references for their bits.
+are the references for their bits. make_features takes its row norms a
+block at a time; the one-shot norm here is the reference for its bits.
 """
 
 import numpy as np
@@ -280,3 +281,14 @@ def method_softmax_rows(logits, floor):
     if floor == 0.0:
         return out
     return (1.0 - logits.shape[-1] * floor) * out + floor
+
+
+def one_shot_features(n_actions, dim, rng, lead=()):
+    """The feature draw with one np.linalg.norm call over every row."""
+    rows = rng.standard_normal((*lead, n_actions, dim))
+    norms = np.linalg.norm(rows, axis=-1)
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        rows[bad] = rng.standard_normal((int(bad.sum()), dim))
+        norms = np.linalg.norm(rows, axis=-1)
+    return rows / norms[..., None]

@@ -1,10 +1,12 @@
 """Drift process, contexts, and reward sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from driftpref import env
 from driftpref.env import (
     DriftConfig,
     ThetaPath,
@@ -15,6 +17,7 @@ from driftpref.env import (
 from driftpref.config import RunConfig
 from driftpref.errors import ConfigError, ContractError
 from driftpref.islands import StrategyCandidate, run_reward_episode
+from oracles import one_shot_features
 
 
 class TestDriftConfig:
@@ -359,6 +362,58 @@ class TestMakeFeatures:
         a = make_features(6, 4, np.random.default_rng(9))
         b = make_features(6, 4, np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+    # one context, exactly one norm block, one block plus one row, the
+    # pref-drift warm batch, and a 2-D lead
+    @pytest.mark.parametrize("n_actions,dim,lead", [
+        (5, 5, ()),
+        (8, 5, (env._NORM_BLOCK // 8,)),
+        (1, 5, (env._NORM_BLOCK + 1,)),
+        (5, 5, (25600,)),
+        (5, 5, (3, 2000)),
+    ])
+    def test_block_norms_match_the_one_shot_norm(self, n_actions, dim, lead):
+        for seed in range(3):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            feats = make_features(n_actions, dim, rng, lead)
+            assert feats.tobytes() == one_shot_features(n_actions, dim, twin, lead).tobytes()
+            assert rng.random() == twin.random()
+
+    def test_zero_rows_are_redrawn_as_the_one_shot_draw_redraws_them(self):
+        # rows zeroed in the first draw, one of them past the first norm block
+        class ZeroingGenerator:
+            def __init__(self, seed):
+                self.rng, self.first = np.random.default_rng(seed), True
+
+            def standard_normal(self, shape):
+                out = self.rng.standard_normal(shape)
+                if self.first:
+                    flat = out.reshape(-1, shape[-1])
+                    flat[[0, 7, env._NORM_BLOCK + 3]] = 0.0
+                    self.first = False
+                return out
+
+        lead = (env._NORM_BLOCK,)
+        feats = make_features(5, 3, ZeroingGenerator(4), lead)
+        assert feats.tobytes() == one_shot_features(5, 3, ZeroingGenerator(4), lead).tobytes()
+        assert np.all(np.isfinite(feats))
+
+
+class TestMakeFeaturesMemory:
+    def test_traced_peak_at_the_warm_batch_size(self):
+        # The draw holds 25,600 x 5 x 5 doubles (5.1 MB). Norms taken a block
+        # at a time add one norm per row (1.0 MB) and peak near 6.4e6 bytes;
+        # one np.linalg.norm call over the draw adds a temporary as large as
+        # the draw and peaks near 12.3e6. A small call first loads what a
+        # cold first call would count.
+        make_features(5, 5, np.random.default_rng(0), (10,))
+        tracemalloc.start()
+        try:
+            make_features(5, 5, np.random.default_rng(0), (25600,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6
 
 
 class TestSampleReward:

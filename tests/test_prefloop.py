@@ -1,6 +1,7 @@
 """Preference-pair fitting, the promotion gate, and the full phase loop."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -435,6 +436,14 @@ class TestDrawOracle:
             assert sample_categorical(top, weights) == len(weights) - 1
             self.assert_same_draws(weights, seeds=range(20))
 
+    @pytest.mark.parametrize("weights", [[5e-324, 0.0], [1e-310, 0.0]])
+    def test_a_subnormal_total_never_draws_a_zero_weight(self, weights):
+        # the top uniform times the total rounds up to the total, past every
+        # cdf value; the draw falls back to the last positive weight
+        for u in self.ENDS:
+            assert sample_categorical(FixedUniform(u), weights) == 0
+            assert sample_categorical(FixedUniform(u), np.array(weights)) == 0
+
 
 class TestLabelOracle:
     """The loop's label table against the per-step scalar label."""
@@ -649,3 +658,23 @@ class TestRunPreferenceLoop:
             assert p.beta == cfg.beta
             assert p.gate_size == min(cfg.gate_size, cfg.phase_length)
             assert p.n_pairs > 0
+
+
+class TestWarmStartMemory:
+    def test_traced_peak_at_the_bench_size(self):
+        # At pref-drift's 25,600 warm pairs the peak is the gather of the
+        # difference rows: the 5.1 MB context batch, the 1.0 MB rows and one
+        # 1.0 MB gathered temporary, near 7.8e6 bytes. With one
+        # np.linalg.norm call over the batch in make_features, and the batch
+        # kept through the fit, it peaked near 12.3e6. A small call first
+        # loads what a cold first call would count.
+        cfg = replace(RunConfig(), warm_scale=60.0, warm_pairs=25600)
+        theta0 = np.full(cfg.d, 1.0 / math.sqrt(cfg.d))
+        prefloop._warm_start(replace(cfg, warm_pairs=10), 0, theta0)
+        tracemalloc.start()
+        try:
+            prefloop._warm_start(cfg, 0, theta0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
