@@ -5,8 +5,9 @@ width) defines the action menu. Each round, every island samples an anchor
 from the shared sampling policy, jitters it locally, and scores the jittered
 candidate by simulated episodes of a drifting reward bandit (negative mean
 regret, higher is better). All candidates of a round play the same
-episodes, so each proposal slot is scored as one batch: slot j of every
-island plays every episode of the round in one lockstep kernel call. Scores
+episodes, so proposal slots are scored in groups: the slots that no stall
+update can separate, on every island, play every episode of the round in
+one lockstep kernel call. Scores
 stream into a rolling window whose quantile sets the pass threshold. At
 phase boundaries the top-s passed candidates are paired against weaker
 ones, the pairs drive the same gated reference-promotion machinery as the
@@ -36,6 +37,7 @@ _S_EPATH, _S_ECTX, _S_ENOISE = 0, 1, 2
 _S_ISLAND, _S_EVAL, _S_GATE2, _S_PAIRS = 5, 6, 7, 8
 
 _SCALE_CAP = 16.0  # invented plumbing: keep the proposal spread bounded
+_STALL_LIMIT = 10  # non-improving proposals that double an island's spread
 _SCORE_WINDOW = 50
 _BLOCK = 512  # episode steps whose contexts are drawn and scored at a time
 
@@ -255,6 +257,36 @@ class IslandState:
     non_improving: int = 0
 
 
+def _propose(rng: np.random.Generator, policy_row: np.ndarray,
+             anchors: list[StrategyCandidate], s: float) -> tuple[int, StrategyCandidate]:
+    """Sample an anchor and jitter it with spread s: one proposal's draws."""
+    anchor_idx = sample_categorical(rng, policy_row)
+    base = anchors[anchor_idx]
+    w = int(np.clip(round(base.window_size * 2.0 ** rng.normal(0.0, 0.5 * s)), 1, 1024))
+    lam = float(np.clip(base.lambda_reg * 10.0 ** rng.normal(0.0, 0.3 * s), 1e-3, 10.0))
+    alpha = float(np.clip(base.ucb_alpha + rng.normal(0.0, 0.25 * s), 0.0, 2.0))
+    return anchor_idx, StrategyCandidate(window_size=w, lambda_reg=lam, ucb_alpha=alpha)
+
+
+def _score_slots(scorer, cands: list[StrategyCandidate], round_idx: int,
+                 n: int) -> list[float]:
+    """Score consecutive slots of n candidates each in one scorer call.
+
+    After a solver failure the slots are scored one call each, so a failure
+    flags (as nan) only the candidates of the slot whose own call failed.
+    """
+    try:
+        scores = [float(v) for v in scorer(cands, round_idx)]
+    except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError):
+        if len(cands) <= n:
+            return [math.nan] * len(cands)
+        return [v for k in range(0, len(cands), n)
+                for v in _score_slots(scorer, cands[k:k + n], round_idx, n)]
+    if len(scores) != len(cands):
+        raise ValueError(f"scorer returned {len(scores)} scores for {len(cands)} candidates")
+    return scores
+
+
 def island_step(
     states: list[IslandState],
     policy_row: np.ndarray,
@@ -267,35 +299,34 @@ def island_step(
 ) -> list[IslandEntry]:
     """Propose, jitter, and score one round's candidates on every island.
 
-    Proposal slot j of every island is drawn (island i from rngs[i]) and the
-    slot is scored as one batch; then each island records its entry and
-    updates its stall count before its next slot is drawn. The proposal
-    spread doubles after 10 proposals without a new island-best score
-    (capped), which widens the search when an island stalls. A solver
-    failure in a slot's batch flags every candidate of the slot, and a
-    non-finite score flags its own candidate. Entries come back island-major.
+    The proposal spread doubles after _STALL_LIMIT proposals without a new
+    island-best score (capped), which widens the search when an island
+    stalls. The stall count rises by at most one per slot, so the next
+    g = min(slots left, _STALL_LIMIT - the largest stall count) slots are
+    drawn with the spreads they would see slot by slot. They form a group:
+    each island draws its g slots from its own stream (island i from
+    rngs[i]), all g * n candidates are scored in one scorer call (slot k of
+    island i at position k * n + i), and each slot's entries and stall
+    updates are applied in slot order. A group of one is a single slot. A
+    solver failure flags every candidate of its slot, and a non-finite
+    score flags its own candidate. Entries come back island-major.
     """
+    n = len(states)
     rows: list[list[IslandEntry]] = [[] for _ in states]
-    for j in range(n_proposals):
-        slot = []
-        for state, rng in zip(states, rngs):
-            anchor_idx = sample_categorical(rng, policy_row)
-            base = anchors[anchor_idx]
-            s = state.proposal_scale
-            w = int(np.clip(round(base.window_size * 2.0 ** rng.normal(0.0, 0.5 * s)), 1, 1024))
-            lam = float(np.clip(base.lambda_reg * 10.0 ** rng.normal(0.0, 0.3 * s), 1e-3, 10.0))
-            alpha = float(np.clip(base.ucb_alpha + rng.normal(0.0, 0.25 * s), 0.0, 2.0))
-            slot.append((anchor_idx, StrategyCandidate(window_size=w, lambda_reg=lam,
-                                                       ucb_alpha=alpha)))
-        try:
-            scores = [float(v) for v in scorer([cand for _, cand in slot], round_idx)]
-        except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError):
-            scores = [math.nan] * len(slot)
-        for i, (state, (anchor_idx, cand), score) in enumerate(
-                zip(states, slot, scores, strict=True)):
+    j = 0
+    while j < n_proposals:
+        g = max(1, min([n_proposals - j]
+                       + [_STALL_LIMIT - state.non_improving for state in states]))
+        drawn = [[_propose(rng, policy_row, anchors, state.proposal_scale) for _ in range(g)]
+                 for state, rng in zip(states, rngs, strict=True)]
+        slots = [island[k] for k in range(g) for island in drawn]
+        scores = _score_slots(scorer, [cand for _, cand in slots], round_idx, n)
+        for pos, ((anchor_idx, cand), score) in enumerate(zip(slots, scores)):
+            k, i = divmod(pos, n)
+            state = states[i]
             failure = not math.isfinite(score)
             rows[i].append(IslandEntry(
-                index=next_index + i * n_proposals + j, island=state.island_id,
+                index=next_index + i * n_proposals + j + k, island=state.island_id,
                 round=round_idx, anchor=anchor_idx, candidate=cand,
                 score=math.nan if failure else score, failure=failure,
             ))
@@ -306,9 +337,10 @@ def island_step(
                 state.non_improving = 0
             else:
                 state.non_improving += 1
-                if state.non_improving >= 10:
+                if state.non_improving >= _STALL_LIMIT:
                     state.proposal_scale = min(state.proposal_scale * 2.0, _SCALE_CAP)
                     state.non_improving = 0
+        j += g
     return [e for row in rows for e in row]
 
 

@@ -15,19 +15,27 @@ pair from Python floats and reads each label's probability from one table;
 the array draw, the per-step scalar label and the method-based softmax here
 are the references for their bits. make_features takes its row norms a
 block at a time; the one-shot norm here is the reference for its bits.
+The island step scores its proposal slots in groups; the slot-by-slot step
+here, one scorer call per slot, is the reference for its entries, its
+island states and its generators.
 """
+
+import math
 
 import numpy as np
 
 from driftpref.cli import PHASE_COLUMNS
 from driftpref.env import DriftConfig, generate_path, make_features, spread_drift_limits
+from driftpref.errors import ConvergenceError
 from driftpref.estimator import (
     estimation_error_rhs,
     fit_logistic_window,
     min_curvature_constant,
 )
+from driftpref.islands import _SCALE_CAP, IslandEntry, StrategyCandidate
 from driftpref.numerics import sigmoid
 from driftpref.policies import softmax_rows
+from driftpref.prefloop import sample_categorical
 from driftpref.regret import RegretLedger
 from driftpref.verify import local_window_variation
 
@@ -292,3 +300,48 @@ def one_shot_features(n_actions, dim, rng, lead=()):
         rows[bad] = rng.standard_normal((int(bad.sum()), dim))
         norms = np.linalg.norm(rows, axis=-1)
     return rows / norms[..., None]
+
+
+def slot_by_slot_island_step(states, policy_row, anchors, scorer, rngs, round_idx,
+                             n_proposals, next_index):
+    """The island step with one scorer call per proposal slot.
+
+    Slot j of every island is drawn (island i from rngs[i]) and scored as
+    one batch; then each island records its entry and updates its stall
+    count before its next slot is drawn.
+    """
+    rows = [[] for _ in states]
+    for j in range(n_proposals):
+        slot = []
+        for state, rng in zip(states, rngs):
+            anchor_idx = sample_categorical(rng, policy_row)
+            base = anchors[anchor_idx]
+            s = state.proposal_scale
+            w = int(np.clip(round(base.window_size * 2.0 ** rng.normal(0.0, 0.5 * s)), 1, 1024))
+            lam = float(np.clip(base.lambda_reg * 10.0 ** rng.normal(0.0, 0.3 * s), 1e-3, 10.0))
+            alpha = float(np.clip(base.ucb_alpha + rng.normal(0.0, 0.25 * s), 0.0, 2.0))
+            slot.append((anchor_idx, StrategyCandidate(window_size=w, lambda_reg=lam,
+                                                       ucb_alpha=alpha)))
+        try:
+            scores = [float(v) for v in scorer([cand for _, cand in slot], round_idx)]
+        except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError):
+            scores = [math.nan] * len(slot)
+        for i, (state, (anchor_idx, cand), score) in enumerate(
+                zip(states, slot, scores, strict=True)):
+            failure = not math.isfinite(score)
+            rows[i].append(IslandEntry(
+                index=next_index + i * n_proposals + j, island=state.island_id,
+                round=round_idx, anchor=anchor_idx, candidate=cand,
+                score=math.nan if failure else score, failure=failure,
+            ))
+            if failure:
+                continue
+            if score > state.best_score:
+                state.best_score = score
+                state.non_improving = 0
+            else:
+                state.non_improving += 1
+                if state.non_improving >= 10:
+                    state.proposal_scale = min(state.proposal_scale * 2.0, _SCALE_CAP)
+                    state.non_improving = 0
+    return [e for row in rows for e in row]

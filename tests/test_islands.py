@@ -25,6 +25,8 @@ from driftpref.islands import (
 )
 from driftpref.regret import nmr, switch_flags
 
+import oracles
+
 
 class TestStrategyCandidate:
     def test_validation(self):
@@ -358,13 +360,13 @@ class TestIslandStep:
             return [c.ucb_alpha for c in cands]
 
         states, entries = self.run_step(scorer, n_proposals=3, n_islands=4)
-        # one batch per slot, island i's candidate at position i
-        assert [len(b) for b in batches] == [4, 4, 4]
+        # one batch for the three slots, island i of slot k at position k * 4 + i
+        assert [len(b) for b in batches] == [12]
         assert [e.index for e in entries] == list(range(5, 17))
         assert [(e.island, e.index) for e in entries] == [
             (i, 5 + i * 3 + j) for i in range(4) for j in range(3)]
         for e in entries:
-            assert batches[(e.index - 5) % 3][e.island] == e.candidate
+            assert batches[0][(e.index - 5) % 3 * 4 + e.island] == e.candidate
         # each island proposes what it would have proposed on its own
         for i in range(4):
             alone = island_step(
@@ -375,13 +377,14 @@ class TestIslandStep:
                 e.candidate for e in entries if e.island == i]
 
     def test_failures_stay_in_their_slot_or_candidate(self):
-        calls = {"n": 0}
+        _, drawn = self.run_step(single_island_scorer(lambda c, r: 0.0),
+                                 n_proposals=3, n_islands=3)
+        slot_1 = {e.candidate for e in drawn if (e.index - 5) % 3 == 1}
 
         def scorer(cands, r):
-            calls["n"] += 1
-            if calls["n"] == 2:
+            if slot_1 & set(cands):
                 raise FloatingPointError("overflow")
-            return [1.0, math.nan, 2.0][:len(cands)]
+            return [[1.0, math.nan, 2.0][i % 3] for i in range(len(cands))]
 
         _, entries = self.run_step(scorer, n_proposals=3, n_islands=3)
         failed = {(e.island, (e.index - 5) % 3) for e in entries if e.failure}
@@ -391,6 +394,103 @@ class TestIslandStep:
     def test_short_score_list_raises(self):
         with pytest.raises(ValueError):
             self.run_step(lambda cands, r: [0.0], n_proposals=1, n_islands=2)
+        # a group's list must match the group too: one score too many or too few
+        for extra in (-1, 1):
+            with pytest.raises(ValueError):
+                self.run_step(lambda cands, r: [0.0] * (len(cands) + extra),
+                              n_proposals=3, n_islands=2)
+
+
+class TestIslandStepOracle:
+    """Slots drawn and scored in groups give the bits of one call per slot."""
+
+    @staticmethod
+    def keyed_scorer(cands, r):
+        """Scores that depend on each candidate alone: some nan, some slots raising."""
+        if any(0.9 < c.ucb_alpha < 0.93 for c in cands):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return [math.nan if c.window_size % 7 == 0 else
+                -abs(math.log2(c.window_size) - 4.0) - c.lambda_reg + 0.1 * c.ucb_alpha
+                for c in cands]
+
+    @staticmethod
+    def preset_states(stalls, scales, best):
+        return [IslandState(island_id=i, proposal_scale=scale, best_score=best,
+                            non_improving=stall)
+                for i, (stall, scale) in enumerate(zip(stalls, scales))]
+
+    def both_steps(self, scorer, stalls, scales, n_proposals, seed=0, best=-math.inf):
+        anchors, _ = default_anchor_panel()
+        policy_row = np.random.default_rng([seed, 99]).dirichlet(np.ones(len(anchors)))
+        out = []
+        for step in (island_step, oracles.slot_by_slot_island_step):
+            states = self.preset_states(stalls, scales, best)
+            rngs = [np.random.default_rng([seed, i]) for i in range(len(states))]
+            entries = step(states, policy_row, anchors, scorer, rngs, round_idx=2,
+                           n_proposals=n_proposals, next_index=7)
+            out.append((entries, states, rngs))
+        return out
+
+    def assert_same(self, grouped, reference):
+        (entries, states, rngs), (ref_entries, ref_states, ref_rngs) = grouped, reference
+
+        def key(e):
+            return (e.index, e.island, e.round, e.anchor, e.candidate, e.failure,
+                    np.float64(e.score).tobytes())
+
+        assert [key(e) for e in entries] == [key(e) for e in ref_entries]
+        assert states == ref_states
+        for rng, ref in zip(rngs, ref_rngs, strict=True):
+            assert rng.standard_normal(2).tobytes() == ref.standard_normal(2).tobytes()
+
+    def test_random_presets_match_slot_by_slot(self):
+        gen = np.random.default_rng(20)
+        for case in range(150):
+            n = int(gen.integers(1, 7))
+            stalls = gen.integers(0, 10, size=n).tolist()
+            scales = (2.0 ** gen.integers(0, 5, size=n)).tolist()
+            best = -math.inf if case % 3 == 0 else float(gen.uniform(-3.0, 0.0))
+            grouped, reference = self.both_steps(self.keyed_scorer, stalls, scales,
+                                                 int(gen.integers(1, 14)), seed=case,
+                                                 best=best)
+            self.assert_same(grouped, reference)
+
+    @pytest.mark.parametrize("stalls,scales,n_proposals", [
+        ([0, 0, 0], [1.0, 1.0, 1.0], 4),
+        ([9, 0], [1.0, 8.0], 3),
+        ([5, 7, 2, 9], [2.0, 1.0, 16.0, 4.0], 13),
+        ([8], [1.0], 12),
+        ([12, 0], [1.0, 2.0], 3),  # a stall count preset past the limit
+    ])
+    def test_episode_scorer_matches_slot_by_slot(self, stalls, scales, n_proposals):
+        cfg = RunConfig(mode="atlas", K=3, d=3, eval_horizon=40)
+        scorer = make_episode_scorer(cfg, seed=3)
+        grouped, reference = self.both_steps(scorer, stalls, scales, n_proposals)
+        self.assert_same(grouped, reference)
+
+    def call_sizes(self, stalls, n_proposals):
+        sizes = []
+
+        def scorer(cands, r):
+            sizes.append(len(cands))
+            return [0.0] * len(cands)
+
+        self.both_steps(scorer, stalls, [1.0] * len(stalls), n_proposals)
+        grouped = sizes[:-n_proposals]  # the slot-by-slot step's calls come last
+        assert sum(grouped) == len(stalls) * n_proposals
+        return grouped
+
+    @pytest.mark.parametrize("n_proposals", [1, 2, 10])
+    def test_fresh_islands_score_a_round_in_one_call(self, n_proposals):
+        assert self.call_sizes([0, 0, 0], n_proposals) == [3 * n_proposals]
+
+    def test_an_island_at_nine_makes_the_first_call_one_slot(self):
+        assert self.call_sizes([0, 9, 3], 10)[0] == 3
+
+    def test_a_call_holds_at_most_the_stall_limit_of_slots(self):
+        # constant scores: slot 0 sets the best and slots 1-9 stall to 9, so
+        # slot 10 is scored alone; its stall doubles the spread and resets
+        assert self.call_sizes([0, 0], 23) == [20, 2, 20, 4]
 
 
 def make_entries(scores, anchors=None, failures=None):

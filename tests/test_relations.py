@@ -3,7 +3,8 @@
 The golden digests pin what the code did; these metamorphic relations say
 something about whether it was right. Each compares two runs that must
 agree bit for bit over a stretch, and then, where the relation says so,
-differ after it.
+differ after it; or two computations that must agree to rounding, or to
+the bit, whatever else they are batched with.
 """
 
 from dataclasses import replace
@@ -13,7 +14,8 @@ import pytest
 
 from driftpref import prefloop
 from driftpref.config import RunConfig
-from driftpref.islands import run_reward_bandit
+from driftpref.env import ThetaPath
+from driftpref.islands import StrategyCandidate, make_episode_scorer, run_reward_bandit
 from driftpref.prefloop import run_preference_loop
 from driftpref.regret import RegretLedger
 from driftpref.verify import scaling_base_config
@@ -80,3 +82,50 @@ class TestCausality:
         longs = run_reward_bandit(replace(cfg, H=1300), seeds)
         for short, long in zip(shorts, longs, strict=True):
             assert_ledger_prefix(short.ledger, long.ledger, 700)
+
+
+class TestRotation:
+    """Rotating every feature row and every parameter by one orthogonal Q
+    leaves every utility unchanged in exact arithmetic, so a preference run
+    keeps its regret to rounding and its gate decisions and oracle arms
+    exactly. A coordinate-dependent slip, such as a wrong norm axis, breaks it."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"warm_scale": 30.0, "warm_pairs": 400}],
+                             ids=["plain", "warm"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_preference_run_is_rotation_invariant(self, monkeypatch, overrides, seed):
+        cfg = RunConfig(mode="evodpo", H=400, **overrides)
+        plain = run_preference_loop(cfg, seed)
+        q, _ = np.linalg.qr(np.random.default_rng([seed, 10]).standard_normal((cfg.d, cfg.d)))
+        features, generate_path = prefloop.make_features, prefloop.generate_path
+
+        def rotated_path(*args):
+            path = generate_path(*args)
+            return ThetaPath(path.thetas @ q.T, path.tv_used)
+
+        monkeypatch.setattr(prefloop, "make_features", lambda *args: features(*args) @ q.T)
+        monkeypatch.setattr(prefloop, "generate_path", rotated_path)
+        rotated = run_preference_loop(cfg, seed)
+        np.testing.assert_allclose(rotated.ledger.regret_cum, plain.ledger.regret_cum,
+                                   rtol=1e-12)
+        assert np.array_equal(rotated.ledger.oracle_arm, plain.ledger.oracle_arm)
+        assert (phase_stats(rotated.phases, "decision", "chosen")
+                == phase_stats(plain.phases, "decision", "chosen"))
+
+
+class TestBatchComposition:
+    """The island scorer gives a candidate the same bits whatever its batch
+    holds: the same candidates reordered, fewer of them, or a duplicate."""
+
+    def test_score_does_not_depend_on_the_batch(self):
+        cfg = RunConfig(mode="atlas", K=3, d=3, eval_horizon=60, eval_episodes=2)
+        gen = np.random.default_rng(7)
+        cands = [StrategyCandidate(int(gen.integers(1, 80)), float(gen.uniform(0.01, 3.0)),
+                                   float(gen.uniform(0.0, 2.0))) for _ in range(6)]
+        scorer = make_episode_scorer(cfg, seed=4)
+        full = dict(zip(cands, scorer(cands, 2)))
+        batches = [cands[::-1], [cands[4], cands[1], cands[5], cands[0], cands[3], cands[2]],
+                   cands[2:5], [cands[3]], cands + [cands[1]], [cands[5], cands[5]]]
+        for batch in batches:
+            for cand, score in zip(batch, scorer(batch, 2), strict=True):
+                assert np.float64(score).tobytes() == np.float64(full[cand]).tobytes()
