@@ -33,10 +33,12 @@ _PREF = RunConfig(H=200, drift_spread=True, fixed_context=True, delta_H=0.1,
 # an atlas run whose three islands each double their proposal spread once
 # (one of them between two proposal slots of a round, which pins the
 # cross-island slot order), and verify with a trial override. The phase-fit
-# cases cover a preference run with fresh contexts, one whose phases stop at
-# max_phases (the dataset stops growing and the phase column stops at
-# max_phases + 1), one whose gate scores with the true parameter, and an atlas run
-# whose pair dataset drops its oldest phase (its phases fit 2, 3 and 2 rows,
+# cases cover a preference run with fresh contexts, the same run whose gate
+# draws 8 of each phase's 20 steps (with a shared context every gate row is
+# the same, so only fresh contexts pin the subsample draw), one whose phases
+# stop at max_phases (the dataset stops growing and the phase column stops at
+# max_phases + 1), one whose gate scores with the true parameter, and an atlas
+# run whose pair dataset drops its oldest phase (its phases fit 2, 3 and 2 rows,
 # and two of the three accept). The evicting atlas run over three seeds pins
 # the summary's cross-seed statistics: its accept rate pools 8 gated phases,
 # since one seed skips a phase.
@@ -44,6 +46,7 @@ CASES = {
     "evodpo": replace(_PREF, mode="evodpo"),
     "evodpo-capped": replace(_PREF, mode="evodpo", max_phases=3),
     "evodpo-fresh": replace(_PREF, mode="evodpo", fixed_context=False),
+    "evodpo-subgate": replace(_PREF, mode="evodpo", fixed_context=False, gate_size=8),
     "evodpo-true-scores": replace(_PREF, mode="evodpo", true_theta_scores=True),
     "evodpo-warm": replace(_PREF, mode="evodpo", warm_scale=60.0, warm_pairs=400,
                            seeds=(0,)),
