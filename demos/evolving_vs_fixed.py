@@ -16,10 +16,10 @@ from driftpref.prefloop import run_preference_loop
 SEEDS = (0, 1, 2)
 
 
-def run_variant(cfg, evolving):
+def run_variant(cfg, mode):
     finals, biases, accepts = [], [], []
     for seed in SEEDS:
-        res = run_preference_loop(cfg, seed, evolving=evolving)
+        res = run_preference_loop(replace(cfg, mode=mode), seed)
         finals.append(res.ledger.regret_cum[-1])
         # mean absolute bias over the last quarter of the run
         tail = res.ledger.bias[-cfg.H // 4:]
@@ -32,8 +32,8 @@ def main():
     cfg = replace(scaling_base_config(), H=800, warm_pairs=6400)
     print(f"jump-then-hold drift, horizon {cfg.H}, {len(SEEDS)} seeds")
     print(f"gate: eps_s={cfg.eps_s}, delta_H={cfg.delta_H}\n")
-    evo_final, evo_bias, evo_accepts = run_variant(cfg, evolving=True)
-    fix_final, fix_bias, _ = run_variant(cfg, evolving=False)
+    evo_final, evo_bias, evo_accepts = run_variant(cfg, "evodpo")
+    fix_final, fix_bias, _ = run_variant(cfg, "fixed-ref")
     print(f"{'variant':<18} {'final regret':>14} {'tail |bias|':>13} {'promotions':>11}")
     print(f"{'evolving ref':<18} {evo_final:>14.2f} {evo_bias:>13.5f} "
           f"{str(evo_accepts):>11}")

@@ -45,7 +45,6 @@ from .policies import (
 )
 from .prefloop import (
     PhaseReport,
-    PrefRunResult,
     RunRecord,
     fit_dpo,
     gate,

@@ -1,11 +1,10 @@
 """Command-line interface: run orchestration and bit-exact report emission.
 
 Subcommands: run (execute the configured mode across seeds), verify (bound
-checks), sweep (run with an explicit seed range), report (aggregate run
-summaries into a comparison table). Every emitted byte is a deterministic
-function of (config, seed): floats are printed with 17 significant digits,
-rows are written in a fixed order, and no wall-clock or path-dependent
-state enters the output.
+checks), report (aggregate run summaries into a comparison table). Every
+emitted byte is a deterministic function of (config, seed): floats are
+printed with 17 significant digits, rows are written in a fixed order, and
+no wall-clock or path-dependent state enters the output.
 """
 
 from __future__ import annotations
@@ -295,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in (
         ("run", "execute the configured mode across seeds"),
         ("verify", "run the bound checks"),
-        ("sweep", "run across an explicit seed range"),
     ):
         sub = subs.add_parser(name, help=text)
         _add_common(sub)
@@ -314,8 +312,6 @@ def main(argv=None) -> int:
         cfg = load_config(args)
         if args.command == "verify":
             return execute_verify(cfg, out_dir)
-        if args.command == "sweep" and not args.seeds:
-            raise ConfigError("sweep requires --seeds N..M")
         return execute_run(cfg, out_dir)
     except (ConfigError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -28,7 +28,7 @@ from .config import RunConfig
 from .env import ThetaPath, generate_path, make_drift, make_features
 from .errors import ConfigError, ContractError, ConvergenceError
 from .policies import softmax_rows
-from .prefloop import (CANDIDATE_LABELS, PhaseReport, RunRecord, fit_dpo, gate,
+from .prefloop import (PhaseReport, RunRecord, fit_dpo, gate, phase_ends, promote,
                        propose_reference, sample_categorical)
 from .regret import RegretLedger, nmr as nmr_of
 
@@ -425,6 +425,9 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     """Run the full island loop: explore every round, gate at phase ends."""
     anchors, anchor_feats = default_anchor_panel()
     n_anchors = anchor_feats.shape[1]
+    if not cfg.pi_min < 1.0 / n_anchors:  # the routing policy is a softmax over the panel
+        raise ConfigError(f"pi_min must lie below 1/{n_anchors} for the atlas panel of "
+                          f"{n_anchors} anchors, got {cfg.pi_min}")
     scorer = make_episode_scorer(cfg, seed)
     rng_gate = np.random.default_rng([seed, _S_GATE2])
     rng_pairs = np.random.default_rng([seed, _S_PAIRS])
@@ -432,7 +435,6 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     states = [IslandState(island_id=i) for i in range(cfg.islands)]
     g_ref = np.zeros(anchor_feats.shape[2])
     g_policy = np.zeros(anchor_feats.shape[2])
-    ref_version = 0
 
     entries: list[IslandEntry] = []
     score_window: deque[float] = deque(maxlen=_SCORE_WINDOW)
@@ -440,9 +442,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     dataset: deque[np.ndarray] = deque(maxlen=cfg.dataset_phases)  # per-phase rows
     phases: list[PhaseReport] = []
     snapshots: list[PhaseSnapshot] = []
-    decisions: list[str] = []
-    phase_index = 0
-    max_phases = cfg.max_phases if cfg.max_phases > 0 else cfg.rounds // cfg.phase_length
+    ends = phase_ends(cfg, cfg.rounds)
 
     # Each round's negated best score (scores are negative mean regret) and
     # that proposal's anchor; a round with no successful proposal keeps nan
@@ -464,8 +464,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
             regret[r - 1] = -top.score
             top_anchor[r - 1] = top.anchor
 
-        if r % cfg.phase_length == 0 and phase_index < max_phases:
-            phase_index += 1
+        if r - 1 in ends:
             phase_entries = [e for e in entries[phase_entries_start:] if not e.failure]
             phase_entries_start = len(entries)
             pairs = []
@@ -474,16 +473,17 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                 pairs, records = build_pairs_top_s(phase_entries, cfg.top_s, threshold,
                                                    rng_pairs)
                 snapshots.append(PhaseSnapshot(
-                    phase_index=phase_index, threshold=threshold,
+                    phase_index=len(phases) + 1, threshold=threshold,
                     entry_indices=[e.index for e in phase_entries],
                     entry_scores=[e.score for e in phase_entries],
                     pair_records=records,
                 ))
             if not pairs:
+                version = phases[-1].ref_version_after if phases else 0
                 phases.append(PhaseReport(
-                    phase_index=phase_index, n_pairs=0, delta_s=math.nan,
+                    phase_index=len(phases) + 1, n_pairs=0, delta_s=math.nan,
                     kl_hat=math.nan, decision="skipped", accepted=False, chosen="",
-                    ref_version_before=ref_version, ref_version_after=ref_version,
+                    ref_version_before=version, ref_version_after=version,
                     beta=cfg.beta, eps_s=cfg.eps_s, delta_H=cfg.delta_H, gate_size=0,
                 ))
                 continue
@@ -511,29 +511,17 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                 softmax_rows(anchor_feats[0] @ g, floor=cfg.pi_min)[None, :]
                 for g in tilts
             ]
-            best, delta_s, kl_hat = propose_reference(cand_rows, u_rows, cfg.beta_ref)
-            accepted = gate(delta_s, kl_hat, cfg)
-            decision = "accept" if accepted else "reject"
-            ref_version_before = ref_version
-            if accepted and best != 2:
-                g_ref = tilts[best]
-                ref_version += 1
-            decisions.append(decision)
-            phases.append(PhaseReport(
-                phase_index=phase_index, n_pairs=len(dphi),
-                delta_s=delta_s, kl_hat=kl_hat, decision=decision,
-                accepted=accepted, chosen=CANDIDATE_LABELS[best],
-                ref_version_before=ref_version_before,
-                ref_version_after=ref_version, beta=cfg.beta, eps_s=cfg.eps_s,
-                delta_H=cfg.delta_H, gate_size=take,
-            ))
-            cfg = strategist_rules(decisions, cfg)
+            proposal = propose_reference(cand_rows, u_rows, cfg.beta_ref)
+            g_ref = promote(phases, len(dphi), take, tilts, proposal,
+                            gate(*proposal[1:], cfg), True, cfg)
+            cfg = strategist_rules([p.decision for p in phases if p.decision != "skipped"],
+                                   cfg)
 
     # One ledger row per round. Rounds with no successful proposal do not
     # advance the cumulative column; a switch marks a change of best anchor.
     rounds = np.arange(cfg.rounds)
     led = RegretLedger(t=rounds + 1,
-                       phase=np.minimum(rounds // cfg.phase_length, max_phases) + 1,
+                       phase=np.minimum(rounds // cfg.phase_length, len(ends)) + 1,
                        bias=np.zeros(cfg.rounds), error=regret, regret_step=regret,
                        regret_cum=np.where(np.isnan(regret), 0.0, regret).cumsum(),
                        oracle_arm=top_anchor,

@@ -5,8 +5,9 @@ windowed utility estimate. At the end of each phase, candidate references
 (the phase fit, a half-data checkpoint, and the incumbent) are scored on a
 fresh gate subset; the best penalized candidate is promoted only when its
 score improvement and its KL distance from the incumbent both clear the gate
-thresholds. The fixed-reference baseline is the identical loop with the gate
-decision forced to reject, so the two variants are bit-compatible.
+thresholds. The mode is the arm: 'fixed-ref' is the identical loop whose
+every decision is inert, so the two variants are bit-compatible. promote and
+phase_ends are the verdict and the schedule that the island search shares.
 The step loop holds only sequential work: the window fit, the learner row,
 the pair draws (on the row as Python floats, each label's win probability
 read from one table) and the phase gate. It records each step's learner
@@ -147,13 +148,6 @@ class RunRecord:
         return self.accepted_phases / self.gated_phases
 
 
-@dataclass(kw_only=True)
-class PrefRunResult(RunRecord):
-    """A phase-loop run's record and its final reference tilt."""
-
-    ref_tilt: np.ndarray
-
-
 def _warm_start(
     cfg: RunConfig, seed: int, theta0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -184,18 +178,52 @@ def _warm_start(
     return theta_hat, (cfg.warm_scale / norm) * theta_hat
 
 
-def run_preference_loop(
-    cfg: RunConfig, seed: int, evolving: bool | None = None
-) -> PrefRunResult:
+def phase_ends(cfg: RunConfig, steps: int) -> range:
+    """The 0-based steps that close a gated phase: each phase_length-th one,
+    up to max_phases of them (0: every boundary within the steps)."""
+    L = cfg.phase_length
+    return range(L - 1, L * (cfg.max_phases or steps // L), L)
+
+
+def promote(
+    phases: list[PhaseReport],
+    n_pairs: int,
+    gate_size: int,
+    tilts: list[np.ndarray],
+    proposal: tuple[int, float, float],
+    passes: bool,
+    evolving: bool,
+    cfg: RunConfig,
+) -> np.ndarray:
+    """Record one gated phase in phases and return the tilt in force after it.
+
+    tilts are the candidates in CANDIDATE_LABELS order, the incumbent last;
+    proposal is propose_reference's verdict on them and passes the gate's.
+    A non-evolving run decides 'inert' and never accepts. The version, read
+    off the last report, counts accepted candidates other than the incumbent.
+    """
+    best, delta_s, kl_hat = proposal
+    accepted = passes and evolving
+    promoted = accepted and best != len(tilts) - 1
+    version = phases[-1].ref_version_after if phases else 0
+    phases.append(PhaseReport(
+        phase_index=len(phases) + 1, n_pairs=n_pairs, delta_s=delta_s, kl_hat=kl_hat,
+        decision=("accept" if accepted else "reject") if evolving else "inert",
+        accepted=accepted, chosen=CANDIDATE_LABELS[best], ref_version_before=version,
+        ref_version_after=version + 1 if promoted else version, beta=cfg.beta,
+        eps_s=cfg.eps_s, delta_H=cfg.delta_H, gate_size=gate_size,
+    ))
+    return tilts[best] if promoted else tilts[-1]
+
+
+def run_preference_loop(cfg: RunConfig, seed: int) -> RunRecord:
     """Run the full drifting-preference loop for one seed.
 
-    evolving defaults from cfg.mode ('evodpo' evolves the reference,
-    'fixed-ref' never does).
+    The mode is the arm: 'evodpo' evolves the reference, 'fixed-ref' never does.
     """
-    if evolving is None:
-        if cfg.mode not in ("evodpo", "fixed-ref"):
-            raise ConfigError(f"mode {cfg.mode!r} is not a preference-loop mode")
-        evolving = cfg.mode == "evodpo"
+    if cfg.mode not in ("evodpo", "fixed-ref"):
+        raise ConfigError(f"mode {cfg.mode!r} is not a preference-loop mode")
+    evolving = cfg.mode == "evodpo"
     if cfg.K < 2:
         raise ConfigError("preference collection needs at least two actions")
     H, K, d = cfg.H, cfg.K, cfg.d
@@ -225,11 +253,10 @@ def run_preference_loop(
     g_ref = np.zeros(d)
     if cfg.warm_scale > 0.0:
         theta_hat, g_ref = _warm_start(cfg, seed, path.thetas[0])
-    ref_version = 0
     # P(a beats b at step t); made after the warm start, which sets the peak memory
     win_prob = sigmoid(utils[:, :, None] - utils[:, None, :])
 
-    max_phases = cfg.max_phases if cfg.max_phases > 0 else H // cfg.phase_length
+    ends = phase_ends(cfg, H)
     phases: list[PhaseReport] = []
 
     for t in range(H):
@@ -250,19 +277,26 @@ def run_preference_loop(
         rows[t] = phi[first] - phi[second]
         labels[t] = rng_agent.uniform() < win_prob[t, first, second]  # 1.0: the first wins
 
-        if (t + 1) % cfg.phase_length == 0 and len(phases) < max_phases:
+        if t in ends:
             # gated phases run back to back from step 0, so the last
             # dataset_phases of them are one slice; a - b is exactly -(b - a),
             # so each row is the winner minus the loser
             lo = max(0, t + 1 - cfg.dataset_phases * cfg.phase_length)
             dphi = np.where(labels[lo:t + 1, None] == 1.0, rows[lo:t + 1], -rows[lo:t + 1])
-            report, g_new, version_new = _run_phase(
-                len(phases) + 1, dphi, feats_all, g_ref, ref_version, theta_hat,
-                path.thetas[t], cfg, rng_gate, evolving,
-                phase_start=t + 1 - cfg.phase_length,
-            )
-            phases.append(report)
-            g_ref, ref_version = g_new, version_new
+            w_full = fit_dpo(dphi, cfg.dpo_lam)
+            w_half = fit_dpo(dphi[: math.ceil(len(dphi) / 2)], cfg.dpo_lam)
+            # a fresh gate subset from this phase's own steps
+            take = min(cfg.gate_size, cfg.phase_length)
+            gate_ids = rng_gate.choice(cfg.phase_length, size=take, replace=False)
+            gate_feats = feats_all[t + 1 - cfg.phase_length + gate_ids]
+            scorer = path.thetas[t] if cfg.true_theta_scores else theta_hat
+            u_rows = np.einsum("nkd,d->nk", gate_feats, scorer)
+            tilts = [g_ref + w_full / cfg.beta, g_ref + w_half / cfg.beta, g_ref]
+            cand_rows = [softmax_rows(np.einsum("nkd,d->nk", gate_feats, g), floor=cfg.pi_min)
+                         for g in tilts]
+            proposal = propose_reference(cand_rows, u_rows, cfg.beta_ref)
+            g_ref = promote(phases, len(dphi), take, tilts, proposal,
+                            gate(*proposal[1:], cfg), evolving, cfg)
 
     # each (K, d) @ (d,) slice and each softmax row has its per-step bits
     comparators = softmax_rows(
@@ -273,7 +307,7 @@ def run_preference_loop(
     step = np.arange(H)
     led = RegretLedger(
         t=step + 1,
-        phase=np.minimum(step // cfg.phase_length, max_phases) + 1,
+        phase=np.minimum(step // cfg.phase_length, len(ends)) + 1,
         bias=bias,
         error=error,
         regret_step=regret_step,
@@ -281,71 +315,5 @@ def run_preference_loop(
         oracle_arm=np.argmax(utils, axis=1),
         switch=switch_flags(path.thetas, feats_all),
     )
-    return PrefRunResult(ledger=led, final_metric=led.final_regret(), phases=phases,
-                         evolving=evolving, ref_tilt=g_ref)
-
-
-def _run_phase(
-    phase_index: int,
-    dphi: np.ndarray,
-    feats_all: np.ndarray,
-    g_ref: np.ndarray,
-    ref_version: int,
-    theta_hat: np.ndarray,
-    theta_true: np.ndarray,
-    cfg: RunConfig,
-    rng_gate: np.random.Generator,
-    evolving: bool,
-    phase_start: int,
-) -> tuple[PhaseReport, np.ndarray, int]:
-    """Fit candidates on the rows dphi, gate the best one, maybe promote it."""
-    w_full = fit_dpo(dphi, cfg.dpo_lam)
-    w_half = fit_dpo(dphi[: math.ceil(len(dphi) / 2)], cfg.dpo_lam)
-
-    # fresh gate subset from this phase's own steps
-    population = cfg.phase_length
-    take = min(cfg.gate_size, population)
-    gate_ids = phase_start + rng_gate.choice(population, size=take, replace=False)
-    gate_feats = feats_all[gate_ids]
-    scorer = theta_true if cfg.true_theta_scores else theta_hat
-    u_rows = np.einsum("nkd,d->nk", gate_feats, scorer)
-
-    tilts = [
-        g_ref + w_full / cfg.beta,
-        g_ref + w_half / cfg.beta,
-        g_ref,
-    ]
-    cand_rows = [
-        softmax_rows(np.einsum("nkd,d->nk", gate_feats, g), floor=cfg.pi_min)
-        for g in tilts
-    ]
-    best, delta_s, kl_hat = propose_reference(cand_rows, u_rows, cfg.beta_ref)
-
-    passes = gate(delta_s, kl_hat, cfg)
-    accepted = bool(passes and evolving)
-    if not evolving:
-        decision = "inert"
-    else:
-        decision = "accept" if accepted else "reject"
-    new_ref = g_ref
-    new_version = ref_version
-    if accepted and CANDIDATE_LABELS[best] != "reference":
-        new_ref = tilts[best]
-        new_version = ref_version + 1
-
-    report = PhaseReport(
-        phase_index=phase_index,
-        n_pairs=len(dphi),
-        delta_s=delta_s,
-        kl_hat=kl_hat,
-        decision=decision,
-        accepted=accepted,
-        chosen=CANDIDATE_LABELS[best],
-        ref_version_before=ref_version,
-        ref_version_after=new_version,
-        beta=cfg.beta,
-        eps_s=cfg.eps_s,
-        delta_H=cfg.delta_H,
-        gate_size=take,
-    )
-    return report, new_ref, new_version
+    return RunRecord(ledger=led, final_metric=led.final_regret(), phases=phases,
+                     evolving=evolving)

@@ -456,9 +456,8 @@ def check_regret_scaling(
     accept_rates = []
     for i, s in enumerate(seeds):
         for j, T in enumerate(horizons):
-            cfg_t = replace(base, H=T)
-            evo = run_preference_loop(cfg_t, s, evolving=True)
-            fix = run_preference_loop(cfg_t, s, evolving=False)
+            evo = run_preference_loop(replace(base, H=T, mode="evodpo"), s)
+            fix = run_preference_loop(replace(base, H=T, mode="fixed-ref"), s)
             evo_R[i, j] = evo.ledger.final_regret()
             fix_R[i, j] = fix.ledger.final_regret()
             evo_B[i, j] = evo.ledger.cumulative_bias()
@@ -532,8 +531,8 @@ def check_frozen_bias(
     evo_vals = []
     fix_vals = []
     for s in seeds:
-        evo = run_preference_loop(cfg, s, evolving=True)
-        fix = run_preference_loop(cfg, s, evolving=False)
+        evo = run_preference_loop(replace(cfg, mode="evodpo"), s)
+        fix = run_preference_loop(replace(cfg, mode="fixed-ref"), s)
         evo_vals.append(abs(evo.ledger.cumulative_bias()) / horizon)
         fix_vals.append(abs(fix.ledger.cumulative_bias()) / horizon)
     evo_mean = float(np.mean(evo_vals))

@@ -464,6 +464,18 @@ class TestMainWiring:
         assert "error: pi_min must lie in (0, 1/K)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_atlas_pi_min_past_the_panel_exits_two_naming_the_key(self, tmp_path, capsys):
+        # 0.1 < 1/K = 0.2 passes the config check, but the atlas routing
+        # policy is a softmax over the 16-anchor panel, so the floor must
+        # stay below 1/16
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("mode = atlas\nK = 5\npi_min = 0.1\nrounds = 2\nseeds = 0\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: pi_min ") and "16" in err
+        assert not (tmp_path / "out").exists()
+
     def test_huge_drift_limit_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("mode = reward-bandit\nH = 50\nseeds = 0\n"
@@ -508,15 +520,11 @@ class TestMainWiring:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: driftpref run")
 
-    def test_sweep_requires_seeds(self, tmp_path, capsys):
-        assert main(["sweep", "--out", str(tmp_path)]) == 2
-        assert "--seeds" in capsys.readouterr().err
-
-    def test_sweep_with_seed_range(self, tmp_path):
+    def test_run_with_seed_range(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(EVO_CFG)
         out = tmp_path / "out"
-        code = main(["sweep", "--config", str(cfg), "--seeds", "5..6",
+        code = main(["run", "--config", str(cfg), "--seeds", "5..6",
                      "--out", str(out)])
         assert code == 0
         assert (out / "evodpo_seed5_steps.csv").is_file()

@@ -654,6 +654,26 @@ class TestRunIslandSearch:
         res = run_island_search(atlas_cfg(phase_length=5, max_phases=2), seed=3)
         assert len(res.phases) == 2
 
+    def test_pi_min_past_the_panel_is_a_config_error_before_any_draw(self, monkeypatch):
+        # 0.1 < 1/K passes RunConfig, but the routing policy is a softmax
+        # over the 16-anchor panel
+        monkeypatch.setattr(islands, "make_episode_scorer",
+                            lambda cfg, seed: pytest.fail("scorer built before the check"))
+        with pytest.raises(ConfigError, match=r"^pi_min must lie below 1/16 .* 16 anchors, "
+                                              r"got 0\.1$"):
+            run_island_search(atlas_cfg(K=5, pi_min=0.1), seed=0)
+
+    def test_gated_phases_go_through_the_shared_promote(self, monkeypatch):
+        evolving = []
+        real = islands.promote
+
+        def spy(*args):
+            evolving.append(args[6])
+            return real(*args)
+        monkeypatch.setattr(islands, "promote", spy)
+        res = run_island_search(atlas_cfg(), seed=0)
+        assert res.gated_phases > 0 and evolving == [True] * res.gated_phases
+
     def test_phase_column_counts_skipped_phases_up_to_the_cap(self, monkeypatch):
         # every proposal of rounds 3 and 4 fails, so phase 2 is skipped; the
         # cap of 2 phases holds the column at 3 from round 5 on

@@ -15,8 +15,11 @@ from driftpref.estimator import fit_logistic_window, window_size
 from driftpref.numerics import sigmoid
 from driftpref.policies import gate_kl_estimate, inspector_score, softmax_rows
 from driftpref.prefloop import (
+    PhaseReport,
     fit_dpo,
     gate,
+    phase_ends,
+    promote,
     propose_reference,
     run_preference_loop,
     sample_categorical,
@@ -473,6 +476,75 @@ class TestLabelOracle:
         assert calls == [(cfg.H, cfg.K, cfg.K)]
 
 
+class TestPromote:
+    """The verdict both phase loops share, over evolving x passes x best."""
+
+    TILTS = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, -1.0])]
+
+    @pytest.mark.parametrize("best", [0, 1, 2])
+    @pytest.mark.parametrize("passes", [True, False])
+    @pytest.mark.parametrize("evolving", [True, False])
+    def test_truth_table(self, evolving, passes, best):
+        cfg = RunConfig(beta=0.7, eps_s=0.003, delta_H=0.2)
+        earlier = PhaseReport(
+            phase_index=1, n_pairs=5, delta_s=0.0, kl_hat=0.0, decision="accept",
+            accepted=True, chosen="full", ref_version_before=3, ref_version_after=4,
+            beta=0.6, eps_s=0.0, delta_H=0.0, gate_size=5)
+        phases = [earlier]
+        out = promote(phases, 40, 16, self.TILTS, (best, 0.01, 0.02), passes, evolving, cfg)
+        promoted = evolving and passes and best != 2
+        assert phases[0] is earlier and len(phases) == 2
+        assert phases[1] == PhaseReport(
+            phase_index=2, n_pairs=40, delta_s=0.01, kl_hat=0.02,
+            decision=("accept" if passes else "reject") if evolving else "inert",
+            accepted=evolving and passes, chosen=("full", "half", "reference")[best],
+            ref_version_before=4, ref_version_after=5 if promoted else 4,
+            beta=0.7, eps_s=0.003, delta_H=0.2, gate_size=16)
+        assert out is (self.TILTS[best] if promoted else self.TILTS[2])
+
+    def test_the_first_phase_starts_at_version_zero(self):
+        phases = []
+        out = promote(phases, 3, 2, self.TILTS, (1, 0.0, 0.0), True, True, RunConfig())
+        [report] = phases
+        assert (report.phase_index, report.ref_version_before,
+                report.ref_version_after) == (1, 0, 1)
+        assert out is self.TILTS[1]
+
+
+class TestPhaseEnds:
+    def test_every_boundary_by_default(self):
+        assert list(phase_ends(RunConfig(phase_length=20), 60)) == [19, 39, 59]
+        assert list(phase_ends(RunConfig(phase_length=20), 79)) == [19, 39, 59]
+
+    def test_max_phases_caps_the_boundaries(self):
+        assert list(phase_ends(RunConfig(phase_length=20, max_phases=2), 100)) == [19, 39]
+
+    def test_a_horizon_shorter_than_a_phase_has_none(self):
+        assert not phase_ends(RunConfig(phase_length=20), 19)
+        res = run_preference_loop(small_cfg(H=19), seed=0)
+        assert res.phases == [] and np.array_equal(res.ledger.phase, np.ones(19))
+
+    def test_max_phases_past_the_horizon_changes_nothing(self):
+        cfg = RunConfig(phase_length=20)
+        ends = phase_ends(replace(cfg, max_phases=10), 55)
+        assert [t for t in ends if t < 55] == list(phase_ends(cfg, 55)) == [19, 39]
+
+
+def run_with_tilt(monkeypatch, cfg, seed):
+    """A run and its final reference tilt, the last one prefloop.promote returned."""
+    returned = []
+    real = prefloop.promote
+
+    def spy(*args):
+        returned.append(real(*args))
+        return returned[-1]
+    monkeypatch.setattr(prefloop, "promote", spy)
+    res = run_preference_loop(cfg, seed)
+    monkeypatch.setattr(prefloop, "promote", real)
+    assert len(returned) == len(res.phases) > 0
+    return res, returned[-1]
+
+
 def small_cfg(**overrides):
     base = dict(
         mode="evodpo", K=5, d=5, H=60, phase_length=20, gate_size=32,
@@ -503,29 +575,29 @@ class TestRunPreferenceLoop:
         assert np.array_equal(led.phase, 1 + np.arange(60) // 20)
         assert window_size(60, small_cfg().kappa) == math.ceil(60 ** (2.0 / 3.0))
 
-    def test_deterministic_reruns(self):
+    def test_deterministic_reruns(self, monkeypatch):
         cfg = small_cfg()
-        a = run_preference_loop(cfg, seed=3)
-        b = run_preference_loop(cfg, seed=3)
+        a, a_tilt = run_with_tilt(monkeypatch, cfg, seed=3)
+        b, b_tilt = run_with_tilt(monkeypatch, cfg, seed=3)
         for col in ("bias", "error", "regret_step", "regret_cum", "oracle_arm",
                     "switch", "phase"):
             assert np.array_equal(getattr(a.ledger, col), getattr(b.ledger, col))
-        assert np.array_equal(a.ref_tilt, b.ref_tilt)
+        assert np.array_equal(a_tilt, b_tilt)
         assert [p.decision for p in a.phases] == [p.decision for p in b.phases]
         assert [p.delta_s for p in a.phases] == [p.delta_s for p in b.phases]
 
-    def test_comparator_is_the_per_step_softmax(self):
+    def test_comparator_is_the_per_step_softmax(self, monkeypatch):
         # one accepted phase, then the cap: the comparator rows are one
         # batched softmax with the bits of the per-step one
         cfg = small_cfg(max_phases=1, eps_s=0.0, delta_H=1e9)
-        res = run_preference_loop(cfg, seed=5)
+        res, ref_tilt = run_with_tilt(monkeypatch, cfg, seed=5)
         assert res.ref_version == 1
         path = generate_path(cfg.H, cfg.d, make_drift(cfg, cfg.H),
                              np.random.default_rng([5, 0]))
         feats = np.random.default_rng([5, 1]).standard_normal((cfg.H, cfg.K, cfg.d))
         feats /= np.linalg.norm(feats, axis=2, keepdims=True)
         for t in range(cfg.H):
-            g_ref = res.ref_tilt if t >= cfg.phase_length else np.zeros(cfg.d)
+            g_ref = ref_tilt if t >= cfg.phase_length else np.zeros(cfg.d)
             u = np.matmul(feats[t:t + 1], path.thetas[t:t + 1, :, None])[0, :, 0]
             comparator = softmax_rows(feats[t] @ (g_ref + path.thetas[t] / cfg.beta_ref),
                                       floor=cfg.pi_min)
@@ -557,13 +629,14 @@ class TestRunPreferenceLoop:
                 return out
             monkeypatch.setattr(prefloop, name, wrapper)
 
-        for name in ("regret_decompose", "switch_flags", "_run_phase"):
+        for name in ("regret_decompose", "switch_flags", "promote"):
             spy(name)
         res = run_preference_loop(cfg, seed)
         [((utils, learners, _), _)] = seen["regret_decompose"]
         [((thetas, feats), _)] = seen["switch_flags"]
-        phase_calls = seen["_run_phase"]
-        tilts = [phase_calls[0][0][3]] + [g_new for _, (_, g_new, _) in phase_calls]
+        phase_calls = seen["promote"]
+        # promote's fourth argument is the candidate tilts, the incumbent last
+        tilts = [phase_calls[0][0][3][-1]] + [g_new for _, g_new in phase_calls]
         assert res.ref_version >= (cfg.mode == "evodpo")
         want = preference_ledger(utils, learners, feats, thetas, tilts, cfg)
         for col, values in want.items():
@@ -578,25 +651,25 @@ class TestRunPreferenceLoop:
         for col in ("bias", "error", "regret_cum", "phase"):
             assert np.array_equal(getattr(a.ledger, col), getattr(b.ledger, col))
 
-    def test_fixed_reference_mode_is_inert(self):
-        res = run_preference_loop(small_cfg(mode="fixed-ref"), seed=1)
+    def test_fixed_reference_mode_is_inert(self, monkeypatch):
+        res, ref_tilt = run_with_tilt(monkeypatch, small_cfg(mode="fixed-ref"), seed=1)
         assert not res.evolving
         assert all(p.decision == "inert" for p in res.phases)
         assert res.ref_version == 0
         assert res.accept_rate() is None
-        assert np.array_equal(res.ref_tilt, np.zeros(5))
+        assert np.array_equal(ref_tilt, np.zeros(5))
 
-    def test_force_reject_reproduces_fixed_reference_exactly(self):
+    def test_force_reject_reproduces_fixed_reference_exactly(self, monkeypatch):
         # no phase can clear eps_s = 1e9, so every evolving decision rejects
-        forced = run_preference_loop(small_cfg(eps_s=1e9), seed=2, evolving=True)
-        fixed = run_preference_loop(small_cfg(), seed=2, evolving=False)
+        forced, forced_tilt = run_with_tilt(monkeypatch, small_cfg(eps_s=1e9), seed=2)
+        fixed, fixed_tilt = run_with_tilt(monkeypatch, small_cfg(mode="fixed-ref"), seed=2)
         for col in ("bias", "error", "regret_step", "regret_cum", "oracle_arm",
                     "switch"):
             assert np.array_equal(
                 getattr(forced.ledger, col), getattr(fixed.ledger, col)
             )
         assert forced.ref_version == 0
-        assert np.array_equal(forced.ref_tilt, fixed.ref_tilt)
+        assert np.array_equal(forced_tilt, fixed_tilt)
         # the forced run still reports gate outcomes; the inert run does not
         assert all(p.decision == "reject" for p in forced.phases)
 
@@ -643,11 +716,11 @@ class TestRunPreferenceLoop:
         assert len(res.ledger) == 60
         assert np.all(np.isfinite(res.ledger.regret_cum))
 
-    def test_warm_start_sets_reference_scale(self):
+    def test_warm_start_sets_reference_scale(self, monkeypatch):
         cfg = small_cfg(mode="fixed-ref", warm_scale=30.0, warm_pairs=1600)
-        res = run_preference_loop(cfg, seed=8)
+        _, ref_tilt = run_with_tilt(monkeypatch, cfg, seed=8)
         # fixed-reference runs never promote, so the warm tilt survives intact
-        assert abs(float(np.linalg.norm(res.ref_tilt)) - 30.0) < 1e-9
+        assert abs(float(np.linalg.norm(ref_tilt)) - 30.0) < 1e-9
 
     def test_phase_reports_carry_settings(self):
         cfg = small_cfg(eps_s=0.004, delta_H=0.3)

@@ -41,8 +41,8 @@ class TestArmFork:
     ], ids=["delta_H-0.1", "scaling-base"])
     @pytest.mark.parametrize("seed", range(8))
     def test_identical_until_first_promotion(self, cfg, seed):
-        evolving = run_preference_loop(cfg, seed, evolving=True)
-        fixed = run_preference_loop(cfg, seed, evolving=False)
+        evolving = run_preference_loop(replace(cfg, mode="evodpo"), seed)
+        fixed = run_preference_loop(replace(cfg, mode="fixed-ref"), seed)
         first = next(k for k, p in enumerate(evolving.phases)
                      if p.ref_version_after > p.ref_version_before)
         # steps up to the one that closes the promoting phase
