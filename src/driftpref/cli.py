@@ -320,6 +320,9 @@ def main(argv=None) -> int:
         seed = "" if exc.seed is None else f" seed {exc.seed}"
         sys.stderr.write(f"error: {cfg.mode}{seed}: {exc}\n")
         return 3
+    except np.linalg.LinAlgError as exc:  # a singular solve no caller could recover from
+        sys.stderr.write(f"error: {cfg.mode}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

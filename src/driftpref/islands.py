@@ -27,6 +27,7 @@ import numpy as np
 from .config import RunConfig
 from .env import ThetaPath, generate_path, make_drift, make_features
 from .errors import ConfigError, ContractError, ConvergenceError
+from .numerics import solve
 from .policies import softmax_rows
 from .prefloop import (PhaseReport, RunRecord, fit_dpo, gate, phase_ends, promote,
                        propose_reference, sample_categorical)
@@ -115,6 +116,9 @@ def run_reward_episode(
     differ. The ridge states of all (episode, candidate) members are
     stacked, so one step of the batch is one stacked solve, and member
     (e, c) gets the same bits as if candidate c had played episode e alone.
+    The solve is numerics.solve, LAPACK's stacked solve without
+    np.linalg.solve's per-call wrapper, which at 5 x 5 costs more than the
+    factorization; a singular ridge matrix raises LinAlgError.
     Contexts are drawn and scored _BLOCK steps at a time, which bounds
     memory and changes no value.
     """
@@ -184,7 +188,7 @@ def run_reward_episode(
         for i in range(n):
             rhs[..., 0] = Ab[..., d]
             rhs[..., 1:] = f_t[i]
-            solved = np.linalg.solve(A, rhs)
+            solved = solve(A, rhs)
             widths = np.sqrt(np.maximum((f_t[i] * solved[..., 1:]).sum(axis=2), 0.0))
             arm = (np.matmul(f_col[i], solved[..., :1])[..., 0] + alpha * widths).argmax(axis=2)
             r = (t0 + i) % R
@@ -537,15 +541,21 @@ def run_reward_bandit(cfg: RunConfig, seeds) -> list[RunRecord]:
     The seeds' episodes are stepped together in one kernel call; each seed
     gets the bits it gets alone. A record's final metric is its nmr, its
     error column is its regret_step, and its t, phase (0) and bias (0)
-    columns are one set of arrays shared by every seed.
+    columns are one set of arrays shared by every seed. Raises LinAlgError,
+    naming lambda_reg, when a ridge matrix turns singular.
     """
     def rngs(tag):
         return [np.random.default_rng([seed, tag]) for seed in seeds]
     cand = StrategyCandidate(cfg.window_size, cfg.lambda_reg, cfg.ucb_alpha)
     drift = make_drift(cfg, cfg.H)
     paths = [generate_path(cfg.H, cfg.d, drift, rng) for rng in rngs(_S_EPATH)]
-    ep = run_reward_episode([cand], cfg.K, cfg.d, cfg.H, paths, cfg.noise_scale,
-                            rngs(_S_ECTX), rngs(_S_ENOISE))
+    try:
+        ep = run_reward_episode([cand], cfg.K, cfg.d, cfg.H, paths, cfg.noise_scale,
+                                rngs(_S_ECTX), rngs(_S_ENOISE))
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"a ridge matrix turned singular; lambda_reg = {cfg.lambda_reg:g} is too small "
+            "to keep it invertible") from exc
     regret = ep.expected_best - ep.expected_chosen[:, 0]
     t, phase, bias = np.arange(1, cfg.H + 1), np.zeros(cfg.H, dtype=int), np.zeros(cfg.H)
     return [RunRecord(ledger=RegretLedger(t=t, phase=phase, bias=bias, error=regret[e],

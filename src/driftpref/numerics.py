@@ -1,4 +1,14 @@
-"""The stable sigmoid and the package's one logistic solver, which takes stacks."""
+"""The stable sigmoid, a thin stacked linear solve, and the package's one
+logistic solver, which takes stacks.
+
+solve calls the gufunc behind np.linalg.solve, numpy's private
+_umath_linalg.solve (LAPACK dgesv, LU with partial pivoting), with the same
+signature and error state, so every member keeps its bits. Its callers, the
+Newton step and the bandit kernel, pass float64 square stacks thousands of
+times a run, and at 5 x 5 np.linalg.solve's per-call argument handling
+costs more than the factorization. There is no fallback: if numpy moves
+the private name, importing the package fails.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +16,24 @@ import math
 from contextlib import suppress
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve as _gesv
 
 from .errors import ConvergenceError
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def solve(a, b):
+    """np.linalg.solve(a, b) for float64 stacks a (..., m, m), b (..., m, k).
+
+    Raises LinAlgError("Singular matrix") when a member is singular.
+    """
+    return _gesv(a, b, signature="dd->d")
 
 
 def sigmoid(z):
@@ -83,12 +109,12 @@ def newton_logistic(X, p, lam, name, theta0=None):
         # the Newton step is theta - newton, so slope = grad @ newton is minus the descent slope
         hess = (X * (s * (1.0 - s))[..., None]).mT @ X + ridge
         try:
-            newton = np.linalg.solve(hess, grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # one member at a time; a singular one steps along -grad
+            newton = solve(hess, grad[..., None])[..., 0]
+        except LinAlgError:  # one member at a time; a singular one steps along -grad
             newton = grad.copy()
             for i in range(len(members)):
-                with suppress(np.linalg.LinAlgError):
-                    newton[i] = np.linalg.solve(hess[i], grad[i])
+                with suppress(LinAlgError):
+                    newton[i] = solve(hess[i], grad[i, :, None])[:, 0]
         slope = np.vecdot(grad, newton).tolist()
         if not min(slope) > 0.0:
             for i in [i for i, g in enumerate(slope) if g <= 0.0]:  # not a descent direction

@@ -572,6 +572,20 @@ class TestMainWiring:
             f"error: {where}: window logistic fit did not converge "
             "(residual grad norm 2.500e-01)\n")
 
+    def test_singular_ridge_matrix_exits_three_naming_the_key(self, tmp_path, capsys):
+        # the real kernel, unpatched: lambda_reg = 1e-17 passes the config
+        # check (> 0), but the sliding window's ridge matrix turns singular
+        cfg = tmp_path / "ridge.cfg"
+        cfg.write_text("mode = reward-bandit\nH = 100\nlambda_reg = 1e-17\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: reward-bandit: a ridge matrix turned singular; lambda_reg = 1e-17 "
+                "is too small to keep it invertible\n")
+        assert not out.exists()
+
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "runs"
         execute_run(RunConfig(mode="evodpo", K=3, d=3, H=60, seeds=(0,)), out)

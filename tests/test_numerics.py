@@ -1,13 +1,19 @@
 """Stability contracts for the scalar helpers, and the logistic solver's oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import driftpref.numerics as numerics
+from driftpref.cli import phases_csv, steps_csv
+from driftpref.config import RunConfig
 from driftpref.errors import ConvergenceError
+from driftpref.estimator import fit_logistic_window
+from driftpref.islands import run_reward_bandit
 from driftpref.numerics import newton_logistic, sigmoid
+from driftpref.prefloop import run_preference_loop
 from oracles import log_sigmoid, softplus
 
 
@@ -281,7 +287,9 @@ class TestStackedNewtonMatchesReference:
         # has H[0, 0] == lam, which holds for a member whose first feature
         # column is zero. That member steps along -grad, as the reference
         # does; its small rows and lam = 1 let unit gradient steps converge.
-        real_solve = np.linalg.solve
+        # The rule patches both bindings: numerics.solve, which the solver
+        # calls, and np.linalg.solve, which the reference calls.
+        real_np, real_numerics = np.linalg.solve, numerics.solve
         rng = np.random.default_rng(9)
         results = []
         for _ in range(15):
@@ -290,17 +298,89 @@ class TestStackedNewtonMatchesReference:
             X[target] *= 0.1 / np.abs(X[target]).max()
             X[target, :, 0] = 0.0
 
-            def failing(a, b, lam=lam):
-                if (a.ndim == 3 and len(a) > 1) or np.any(a[..., 0, 0] == lam):
-                    raise np.linalg.LinAlgError("singular matrix")
-                return real_solve(a, b)
+            def failing(real, lam=lam):
+                def solve(a, b):
+                    if (a.ndim == 3 and len(a) > 1) or np.any(a[..., 0, 0] == lam):
+                        raise np.linalg.LinAlgError("singular matrix")
+                    return real(a, b)
+                return solve
 
-            monkeypatch.setattr(np.linalg, "solve", failing)
+            monkeypatch.setattr(np.linalg, "solve", failing(real_np))
+            monkeypatch.setattr(numerics, "solve", failing(real_numerics))
             results.append(assert_stack_matches(
                 lambda: newton_logistic(X, p, lam, "fit", theta0),
                 [lambda i=i: member_reference(X, p, lam, theta0, i)
                  for i in range(len(X))]))
         assert results.count("ok") >= 12
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSolve:
+    """numerics.solve skips np.linalg.solve's argument handling, not its bits."""
+
+    @staticmethod
+    def systems(rng, lead, k):
+        # Newton Hessians (Gram matrix plus a ridge) and general square matrices
+        rows = rng.standard_normal(lead + (7, 5))
+        a = np.where(rng.random(lead + (1, 1)) < 0.5, rows.mT @ rows + 0.1 * np.eye(5),
+                     rng.standard_normal(lead + (5, 5)))
+        return a, rng.standard_normal(lead + (5, k))
+
+    def test_newton_stacks_match_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for B in range(1, 41):
+            a, b = self.systems(rng, (B,), 1)
+            assert same_bits(numerics.solve(a, b), np.linalg.solve(a, b))
+
+    def test_kernel_stacks_match_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for E, C, K in [(1, 1, 5), (3, 1, 5), (2, 6, 5), (4, 3, 2), (1, 12, 9)]:
+            a, b = self.systems(rng, (E, C), K + 1)
+            assert same_bits(numerics.solve(a, b), np.linalg.solve(a, b))
+
+    def test_single_system_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            a, b = self.systems(rng, (), 1)
+            assert same_bits(numerics.solve(a, b), np.linalg.solve(a, b))
+            # the Newton step's per-member fallback against the 1-D solve
+            assert same_bits(numerics.solve(a, b)[:, 0], np.linalg.solve(a, b[:, 0]))
+
+    def test_one_singular_member_raises_without_warning(self):
+        a, b = self.systems(np.random.default_rng(34), (6,), 1)
+        a[3, 2] = 0.0  # a zero row: LU meets an exact zero pivot
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                numerics.solve(a, b)
+        assert np.geterr() == before
+        numerics.solve(a[:3], b[:3])
+        assert np.geterr() == before
+
+    def test_runs_never_call_numpys_solve(self, monkeypatch):
+        # a preference run, a stacked window fit and a reward-bandit run keep
+        # their bytes with np.linalg.solve unusable
+        def outputs():
+            rec = run_preference_loop(RunConfig(mode="evodpo", K=3, d=3, H=60), seed=0)
+            rng = np.random.default_rng(35)
+            X = rng.standard_normal((8, 40, 5))
+            fit = fit_logistic_window(X, (rng.random((8, 40)) < 0.5) * 1.0, 0.1)
+            bandit = run_reward_bandit(RunConfig(mode="reward-bandit", H=300), (0, 1))
+            return (steps_csv(rec.ledger), phases_csv(rec.phases),
+                    fit[0].tobytes(), fit[1].tobytes(),
+                    [steps_csv(r.ledger) for r in bandit])
+
+        want = outputs()
+
+        def unusable(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", unusable)
+        assert outputs() == want
 
 
 class TestSigmoid:

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from driftpref.verify import (
     _T_SELF,
     _tally,
     _window_distance_sums,
+    FROZEN_BIAS_CEILING,
     FrozenBiasReport,
     LemmaReport,
     check_estimation_error,
@@ -471,6 +473,88 @@ class TestFrozenBiasCheck:
         assert a.fixed_mean_abs_bias >= 0.0
         assert a.ceiling == 1e-3
         assert asdict(a) == asdict(b)
+
+
+def stub_loop(regret_exp, bias_slope, frozen_bias=None):
+    """A stand-in for run_preference_loop with chosen outcomes.
+
+    Seed s of arm m ("evodpo" or "fixed-ref") ends a horizon-T run with
+    cumulative regret 3 T^regret_exp[m][s] and cumulative bias
+    2 T^bias_slope[m], so the study's log-log fits read back the chosen
+    exponents; with drift frozen, the bias is frozen_bias[m] per step.
+    """
+    def run(cfg, seed):
+        T, m = cfg.H, cfg.mode
+        if cfg.drift_mode == "frozen":
+            bias = frozen_bias[m] * T
+        else:
+            bias = 2.0 * T ** bias_slope[m]
+        ledger = SimpleNamespace(final_regret=lambda: 3.0 * T ** regret_exp[m][seed],
+                                 cumulative_bias=lambda: bias)
+        return SimpleNamespace(ledger=ledger, accept_rate=lambda: 0.5)
+    return run
+
+
+class TestScalingVerdictThresholds:
+    """The study's verdicts flip exactly at their thresholds.
+
+    Each case stubs the preference loop, so only the verdict arithmetic
+    runs: 2 x 20 x 3 stubbed runs per study.
+    """
+
+    EVO, FIX = 0.5, 1.0  # per-seed regret exponents that pass every verdict
+
+    def study(self, monkeypatch, evo=None, fix=None, bias=(0.2, 0.6)):
+        exps = {"evodpo": evo or [self.EVO] * 20, "fixed-ref": fix or [self.FIX] * 20}
+        slopes = {"evodpo": bias[0], "fixed-ref": bias[1]}
+        monkeypatch.setattr(verify, "run_preference_loop", stub_loop(exps, slopes))
+        return check_regret_scaling()
+
+    def test_passing_study(self, monkeypatch):
+        rep = self.study(monkeypatch)
+        assert rep.passed and rep.domination == 1.0 and rep.accept_rate_mean == 0.5
+        assert abs(rep.evolving_exponent - self.EVO) < 1e-12
+        assert abs(rep.bias_separation - 0.4) < 1e-12
+
+    @pytest.mark.parametrize("wins, passed", [(20, True), (16, True), (15, False), (0, False)])
+    def test_domination_needs_16_of_20_seeds(self, monkeypatch, wins, passed):
+        # seeds past the first `wins` have a fixed exponent below the evolving one
+        fix = [self.FIX] * wins + [0.4] * (20 - wins)
+        rep = self.study(monkeypatch, fix=fix)
+        assert rep.domination == wins / 20
+        assert (rep.passed_domination, rep.passed) == (passed, passed)
+        assert rep.passed_exponent and rep.passed_bias_separation
+
+    def test_tied_seeds_do_not_dominate(self, monkeypatch):
+        rep = self.study(monkeypatch, fix=[self.FIX] * 15 + [self.EVO] * 5)
+        assert rep.domination == 0.75 and not rep.passed_domination
+
+    @pytest.mark.parametrize("exponent, passed", [(0.95 - 1e-6, True), (0.95 + 1e-6, False)])
+    def test_evolving_exponent_at_most_095(self, monkeypatch, exponent, passed):
+        rep = self.study(monkeypatch, evo=[exponent] * 20)
+        assert abs(rep.evolving_exponent - exponent) < 1e-12
+        assert (rep.passed_exponent, rep.passed) == (passed, passed)
+        assert rep.passed_domination and rep.passed_bias_separation
+
+    @pytest.mark.parametrize("gap, passed", [(0.15 + 1e-6, True), (0.15 - 1e-6, False)])
+    def test_bias_separation_at_least_015(self, monkeypatch, gap, passed):
+        rep = self.study(monkeypatch, bias=(0.2, 0.2 + gap))
+        assert abs(rep.bias_separation - gap) < 1e-12
+        assert (rep.passed_bias_separation, rep.passed) == (passed, passed)
+        assert rep.passed_exponent and rep.passed_domination
+
+    @pytest.mark.parametrize("evo, fix, passed", [
+        (0.999e-3, 0.999e-3, True), (1.001e-3, 0.5e-3, False), (0.5e-3, 1.001e-3, False),
+        (-0.999e-3, 0.0, True), (-1.001e-3, 0.0, False)])
+    def test_frozen_bias_ceiling(self, monkeypatch, evo, fix, passed):
+        # the ceiling bounds the mean |bias| per step of each arm
+        monkeypatch.setattr(verify, "run_preference_loop", stub_loop(
+            {}, {}, frozen_bias={"evodpo": evo, "fixed-ref": fix}))
+        rep = check_frozen_bias()
+        assert rep.ceiling == FROZEN_BIAS_CEILING == 1e-3
+        assert (rep.evolving_mean_abs_bias, rep.fixed_mean_abs_bias) == pytest.approx(
+            (abs(evo), abs(fix)), rel=1e-12)
+        assert rep.passed == passed
 
 
 class TestEstimationErrorOracle:
