@@ -34,11 +34,6 @@ def main():
     print(f"\nfinal metric {res.final_metric:.4f}, reference version "
           f"{res.ref_version}, accepted {res.accepted_phases}/{res.gated_phases} "
           f"gated phases")
-    if res.snapshots:
-        snap = res.snapshots[-1]
-        print(f"last snapshot: {len(snap.entry_indices)} entries scored, "
-              f"pass threshold {snap.threshold:.4f}, "
-              f"{len(snap.pair_records)} preference pairs built")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config, parse_seeds
+from .config import MODES, RunConfig, parse_config, parse_seeds
 from .errors import ConfigError, ContractError, ConvergenceError
 from .islands import run_island_search, run_reward_bandit
 from .prefloop import PhaseReport, run_preference_loop
@@ -233,8 +233,9 @@ def execute_report(paths: list[str], out_dir: Path) -> int:
             raise ConfigError(
                 f"summary file {path} lacks keys: {', '.join(missing)}"
             )
-        if not isinstance(data["mode"], str) or not isinstance(data["seeds"], list):
-            raise ConfigError(f"summary file {path}: mode must be a string and seeds a list")
+        if data["mode"] not in MODES or not isinstance(data["seeds"], list):
+            raise ConfigError(f"summary file {path}: mode must be one of {MODES} and seeds "
+                              "a list")
         lines.append(",".join([data["mode"], str(len(data["seeds"]))] + [
             _report_cell(path, data, key)
             for key in ("mean", "sem", "slope_exponent", "accept_rate")]))

@@ -156,10 +156,12 @@ _KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse key = value lines ('#' starts a comment) into a RunConfig.
 
-    Unknown keys and malformed lines raise ConfigError naming the line
-    number. Values are validated by the RunConfig constructor.
+    Unknown keys, keys set twice and malformed lines raise ConfigError
+    naming the line numbers. Values are validated by the RunConfig
+    constructor.
     """
     values: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -171,6 +173,10 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         raw_value = raw_value.strip()
         if key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         if not raw_value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
         try:

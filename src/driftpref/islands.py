@@ -72,15 +72,14 @@ def candidate_descriptor(cand: StrategyCandidate) -> np.ndarray:
 
 
 def default_anchor_panel() -> tuple[list[StrategyCandidate], np.ndarray]:
-    """Fixed anchor menu and its (1, n_anchors, 4) feature tensor."""
+    """Fixed anchor menu and its (n_anchors, 4) feature rows."""
     anchors = [
         StrategyCandidate(window_size=w, lambda_reg=l, ucb_alpha=a)
         for w in (8, 20, 50, 200)
         for l in (0.1, 1.0)
         for a in (0.5, 1.0)
     ]
-    feats = np.stack([candidate_descriptor(c) for c in anchors])
-    return anchors, feats[None, :, :]
+    return anchors, np.stack([candidate_descriptor(c) for c in anchors])
 
 
 @dataclass
@@ -353,15 +352,15 @@ def build_pairs_top_s(
     s: int,
     threshold: float,
     rng: np.random.Generator,
-) -> tuple[list[tuple[int, int]], list[dict]]:
+) -> list[tuple[IslandEntry, IslandEntry]]:
     """Pair the top-s passed candidates against weaker ones.
 
     Entries with the failure flag are ignored. Passed entries (score >=
     threshold) are ranked by score with earlier insertion winning ties; the
     top s become winners. Losers come from the below-threshold pool first,
-    then from passed-but-not-top entries, drawn without replacement. Pairs
-    whose two candidates map to the same anchor are skipped (recorded).
-    Returns the (winner anchor, loser anchor) pairs and the records.
+    then from passed-but-not-top entries, drawn without replacement.
+    Returns the (winner, loser) entry pairs in draw order, including pairs
+    whose two candidates map to the same anchor; the caller drops those.
     """
     if s < 1:
         raise ConfigError(f"s must be >= 1, got {s}")
@@ -370,24 +369,13 @@ def build_pairs_top_s(
     winners = passed[:s]
     pool_failed = [e for e in ok if e.score < threshold]
     pool_lower = passed[s:]
-    pairs: list[tuple[int, int]] = []
-    records: list[dict] = []
+    pairs = []
     for winner in winners:
         pool = pool_failed if pool_failed else pool_lower
         if not pool:
             break
-        loser = pool.pop(int(rng.integers(len(pool))))
-        record = {
-            "winner_index": winner.index, "winner_anchor": winner.anchor,
-            "winner_score": winner.score, "loser_index": loser.index,
-            "loser_anchor": loser.anchor, "loser_score": loser.score,
-            "skipped_same_anchor": winner.anchor == loser.anchor,
-        }
-        records.append(record)
-        if winner.anchor == loser.anchor:
-            continue
-        pairs.append((winner.anchor, loser.anchor))
-    return pairs, records
+        pairs.append((winner, pool.pop(int(rng.integers(len(pool))))))
+    return pairs
 
 
 def strategist_rules(decisions: list[str], cfg: RunConfig) -> RunConfig:
@@ -406,29 +394,17 @@ def strategist_rules(decisions: list[str], cfg: RunConfig) -> RunConfig:
     return replace(cfg, beta=beta, pass_quantile=quantile)
 
 
-@dataclass
-class PhaseSnapshot:
-    """What the pair builder saw at one phase boundary (for audits)."""
-
-    phase_index: int
-    threshold: float
-    entry_indices: list[int]
-    entry_scores: list[float]
-    pair_records: list[dict]
-
-
 @dataclass(kw_only=True)
 class IslandRunResult(RunRecord):
-    """An island-search run's record, its scored proposals and its snapshots."""
+    """An island-search run's record and its scored proposals."""
 
     entries: list[IslandEntry]
-    snapshots: list[PhaseSnapshot]
 
 
 def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     """Run the full island loop: explore every round, gate at phase ends."""
     anchors, anchor_feats = default_anchor_panel()
-    n_anchors = anchor_feats.shape[1]
+    n_anchors = len(anchors)
     if not cfg.pi_min < 1.0 / n_anchors:  # the routing policy is a softmax over the panel
         raise ConfigError(f"pi_min must lie below 1/{n_anchors} for the atlas panel of "
                           f"{n_anchors} anchors, got {cfg.pi_min}")
@@ -437,15 +413,14 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     rng_pairs = np.random.default_rng([seed, _S_PAIRS])
 
     states = [IslandState(island_id=i) for i in range(cfg.islands)]
-    g_ref = np.zeros(anchor_feats.shape[2])
-    g_policy = np.zeros(anchor_feats.shape[2])
+    g_ref = np.zeros(anchor_feats.shape[1])
+    g_policy = np.zeros(anchor_feats.shape[1])
 
     entries: list[IslandEntry] = []
     score_window: deque[float] = deque(maxlen=_SCORE_WINDOW)
     phase_entries_start = 0
     dataset: deque[np.ndarray] = deque(maxlen=cfg.dataset_phases)  # per-phase rows
     phases: list[PhaseReport] = []
-    snapshots: list[PhaseSnapshot] = []
     ends = phase_ends(cfg, cfg.rounds)
 
     # Each round's negated best score (scores are negative mean regret) and
@@ -455,7 +430,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
     top_anchor = np.full(cfg.rounds, -1)
 
     for r in range(1, cfg.rounds + 1):
-        policy_row = softmax_rows(anchor_feats[0] @ g_policy, floor=cfg.pi_min)
+        policy_row = softmax_rows(anchor_feats @ g_policy, floor=cfg.pi_min)
         rngs = [np.random.default_rng([seed, _S_ISLAND, state.island_id, r])
                 for state in states]
         new = island_step(states, policy_row, anchors, scorer, rngs, r,
@@ -474,14 +449,8 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
             pairs = []
             if phase_entries:
                 threshold = float(np.quantile(np.asarray(score_window), cfg.pass_quantile))
-                pairs, records = build_pairs_top_s(phase_entries, cfg.top_s, threshold,
-                                                   rng_pairs)
-                snapshots.append(PhaseSnapshot(
-                    phase_index=len(phases) + 1, threshold=threshold,
-                    entry_indices=[e.index for e in phase_entries],
-                    entry_scores=[e.score for e in phase_entries],
-                    pair_records=records,
-                ))
+                pairs = [(w.anchor, l.anchor) for w, l in build_pairs_top_s(
+                    phase_entries, cfg.top_s, threshold, rng_pairs) if w.anchor != l.anchor]
             if not pairs:
                 version = phases[-1].ref_version_after if phases else 0
                 phases.append(PhaseReport(
@@ -492,7 +461,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                 ))
                 continue
             win, lose = np.array(pairs).T
-            dataset.append(anchor_feats[0, win] - anchor_feats[0, lose])
+            dataset.append(anchor_feats[win] - anchor_feats[lose])
             dphi = np.concatenate(dataset)
             w_full = fit_dpo(dphi, cfg.dpo_lam)
             w_half = fit_dpo(dphi[: math.ceil(len(dphi) / 2)], cfg.dpo_lam)
@@ -512,7 +481,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
 
             tilts = [g_ref + w_full / cfg.beta, g_ref + w_half / cfg.beta, g_ref]
             cand_rows = [
-                softmax_rows(anchor_feats[0] @ g, floor=cfg.pi_min)[None, :]
+                softmax_rows(anchor_feats @ g, floor=cfg.pi_min)[None, :]
                 for g in tilts
             ]
             proposal = propose_reference(cand_rows, u_rows, cfg.beta_ref)
@@ -532,7 +501,7 @@ def run_island_search(cfg: RunConfig, seed: int) -> IslandRunResult:
                        switch=(np.diff(top_anchor, prepend=top_anchor[0]) != 0).astype(int))
     final_metric = float(np.mean(score_window)) if score_window else math.nan
     return IslandRunResult(ledger=led, final_metric=final_metric, phases=phases,
-                           evolving=True, entries=entries, snapshots=snapshots)
+                           evolving=True, entries=entries)
 
 
 def run_reward_bandit(cfg: RunConfig, seeds) -> list[RunRecord]:

@@ -67,23 +67,19 @@ def softmax_rows(logits: np.ndarray, floor: float = DEFAULT_SUPPORT_FLOOR) -> np
     return apply_floor(weights, floor)
 
 
-def kl(p: np.ndarray, q: np.ndarray, floor: float = 0.0) -> float | np.ndarray:
+def kl(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     """KL divergence between probability rows, with 0 * log 0 = 0.
 
     p and q are one row (K,), giving a float, or tables (n, K), giving one
-    value per row. Raises if any q entry is nonpositive or sits below the
-    given floor: the divergence is only defined against full-support
-    references.
+    value per row. Raises if any q entry is nonpositive: the divergence is
+    only defined against full-support references.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim not in (1, 2):
         raise ContractError("p and q must be probability rows or tables of equal shape")
-    if np.any(q < floor if floor > 0.0 else q <= 0.0):  # one pass: a floor > 0 implies q > 0
-        raise ContractError(
-            "second argument must have full support (every entry positive and "
-            "at least the support floor)"
-        )
+    if np.any(q <= 0.0):
+        raise ContractError("second argument must have full support (every entry positive)")
     terms = np.zeros_like(p)
     mask = p > 0.0
     terms[mask] = p[mask] * (np.log(p[mask]) - np.log(q[mask]))

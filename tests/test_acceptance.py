@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from driftpref import islands
 from driftpref.cli import execute_run
 from driftpref.config import RunConfig
 from driftpref.islands import run_island_search, run_reward_bandit
@@ -159,25 +160,30 @@ def test_criterion_08_frozen_drift_bias_floor():
          elapsed, 120.0)
 
 
-def test_criterion_09_island_phase_schedule():
+def test_criterion_09_island_phase_schedule(monkeypatch):
     start = time.perf_counter()
     cfg = RunConfig(mode="atlas", rounds=100, phase_length=20)
+    builds = []
+    real_build = islands.build_pairs_top_s
+
+    def spy(entries, s, threshold, rng):
+        pairs = real_build(entries, s, threshold, rng)
+        builds.append((entries, s, threshold, pairs))
+        return pairs
+    monkeypatch.setattr(islands, "build_pairs_top_s", spy)
     res = run_island_search(cfg, seed=0)
-    snapshot_ok = bool(res.snapshots)
-    for snap in res.snapshots:
-        scores = dict(zip(snap.entry_indices, snap.entry_scores))
-        passed = sorted(
-            (i for i in snap.entry_indices if scores[i] >= snap.threshold),
-            key=lambda i: (-scores[i], i),
-        )
-        top = set(passed[:cfg.top_s])
-        if not all(rec["winner_index"] in top for rec in snap.pair_records):
-            snapshot_ok = False
+    pairs_ok = bool(builds)
+    for entries, s, threshold, pairs in builds:
+        passed = sorted((e for e in entries if e.score >= threshold),
+                        key=lambda e: (-e.score, e.index))
+        top = {e.index for e in passed[:s]}
+        if not all(winner.index in top for winner, _ in pairs):
+            pairs_ok = False
     elapsed = time.perf_counter() - start
-    ok = len(res.phases) == 5 and snapshot_ok
+    ok = len(res.phases) == 5 and pairs_ok
     emit(9, "island phase schedule", ok,
          f"{len(res.phases)} phases over {cfg.rounds} rounds, "
-         f"{len(res.snapshots)} snapshots with top-{cfg.top_s} winners",
+         f"{len(builds)} pair-building phases with top-{cfg.top_s} winners",
          elapsed, 120.0)
 
 

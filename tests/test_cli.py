@@ -400,9 +400,9 @@ class TestExecuteReport:
 
     @pytest.mark.parametrize("key, value", [
         ("seeds", 3), ("mode", 7), ("mean", "0.5"), ("sem", [0.1]),
-        ("slope_exponent", True), ("accept_rate", {}), ("mean", 10 ** 400),
+        ("slope_exponent", True), ("accept_rate", {}), ("mean", 10 ** 400), ("mode", "a,b"),
     ], ids=["seeds-int", "mode-int", "mean-str", "sem-list", "slope-bool",
-            "rate-object", "mean-overflows"])
+            "rate-object", "mean-overflows", "mode-unknown"])
     def test_wrong_typed_field_exits_two(self, tmp_path, capsys, key, value):
         data = {"mode": "evodpo", "seeds": [0], "final_metric_per_seed": [0.5],
                 "mean": 0.5, "sem": 0.0, "slope_exponent": None, "accept_rate": None}

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from driftpref.cli import main
 from driftpref.config import RunConfig, parse_config, parse_seeds
 from driftpref.errors import ConfigError
 
@@ -170,6 +171,16 @@ class TestParseConfig:
     def test_removed_spread_horizon_key_is_unknown(self):
         with pytest.raises(ConfigError, match="line 1: unknown key 'drift_spread_h'"):
             parse_config("drift_spread_h = 0\n")
+
+    def test_key_set_twice_names_both_lines_and_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("mode = reward-bandit\nH = 50\nH = 60\nseeds = 0\n")
+        with pytest.raises(ConfigError, match=r"^line 3: key 'H' already set on line 2$"):
+            parse_config(path.read_text())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: line 3: key 'H' already set on line 2\n"
+        assert not out.exists()
 
     def test_malformed_line_names_line(self):
         with pytest.raises(ConfigError, match="line 1"):

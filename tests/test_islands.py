@@ -46,8 +46,8 @@ class TestAnchorPanel:
     def test_sixteen_anchors_with_unit_features(self):
         anchors, feats = default_anchor_panel()
         assert len(anchors) == 16
-        assert feats.shape == (1, 16, 4)
-        assert np.allclose(np.linalg.norm(feats[0], axis=1), 1.0, atol=1e-12)
+        assert feats.shape == (16, 4)
+        assert np.allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
 
     def test_covers_window_grid(self):
         anchors, _ = default_anchor_panel()
@@ -511,65 +511,53 @@ def make_entries(scores, anchors=None, failures=None):
 class TestBuildPairsTopS:
     def test_forced_top_becomes_winner(self):
         entries = make_entries([3.0, 2.0, 1.0])
-        pairs, records = build_pairs_top_s(
-            entries, s=1, threshold=0.0, rng=np.random.default_rng(0)
-        )
-        assert len(records) == 1
-        assert records[0]["winner_index"] == 0
-        assert records[0]["loser_index"] in (1, 2)
-        assert records[0]["winner_anchor"] == entries[0].anchor
-        assert pairs == [(records[0]["winner_anchor"], records[0]["loser_anchor"])]
+        pairs = build_pairs_top_s(entries, s=1, threshold=0.0, rng=np.random.default_rng(0))
+        assert len(pairs) == 1
+        winner, loser = pairs[0]
+        assert winner is entries[0]
+        assert loser.index in (1, 2)
 
     def test_all_failed_yields_nothing(self):
         entries = make_entries([1.0, 2.0], failures=[True, True])
-        pairs, records = build_pairs_top_s(
-            entries, s=2, threshold=0.0, rng=np.random.default_rng(0)
-        )
-        assert pairs == [] and records == []
+        assert build_pairs_top_s(entries, s=2, threshold=0.0, rng=np.random.default_rng(0)) == []
 
     def test_threshold_splits_pools(self):
         entries = make_entries([3.0, 2.0, 1.0])
-        pairs, records = build_pairs_top_s(
-            entries, s=2, threshold=2.5, rng=np.random.default_rng(0)
-        )
+        pairs = build_pairs_top_s(entries, s=2, threshold=2.5, rng=np.random.default_rng(0))
         # only the 3.0 entry passes; losers drawn from the failed pool
-        assert len(records) == 1
-        assert records[0]["winner_index"] == 0
-        assert records[0]["loser_index"] in (1, 2)
+        assert len(pairs) == 1
+        assert pairs[0][0].index == 0
+        assert pairs[0][1].index in (1, 2)
+        # the failed pool is drawn first, then the passed entries below the top s
+        entries = make_entries([4.0, 3.0, 2.0, 1.0])
+        pairs = build_pairs_top_s(entries, s=2, threshold=1.5, rng=np.random.default_rng(0))
+        assert [(w.index, l.index) for w, l in pairs] == [(0, 3), (1, 2)]
 
-    def test_same_anchor_pairs_recorded_but_skipped(self):
+    def test_same_anchor_pairs_are_returned(self):
         entries = make_entries([3.0, 1.0], anchors=[4, 4])
-        pairs, records = build_pairs_top_s(
-            entries, s=1, threshold=2.0, rng=np.random.default_rng(0)
-        )
-        assert pairs == []
-        assert len(records) == 1
-        assert records[0]["skipped_same_anchor"] is True
+        pairs = build_pairs_top_s(entries, s=1, threshold=2.0, rng=np.random.default_rng(0))
+        assert pairs == [(entries[0], entries[1])]
 
     def test_winners_match_full_sort_oracle(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=100)
         entries = make_entries(scores)
         threshold = float(np.median(scores))
-        pairs, records = build_pairs_top_s(
-            entries, s=5, threshold=threshold, rng=np.random.default_rng(2)
-        )
+        pairs = build_pairs_top_s(entries, s=5, threshold=threshold, rng=np.random.default_rng(2))
         ranked = sorted(
             (e for e in entries if e.score >= threshold),
             key=lambda e: (-e.score, e.index),
         )
         want = [e.index for e in ranked[:5]]
-        assert [r["winner_index"] for r in records] == want
+        assert [winner.index for winner, _ in pairs] == want
         # every winner outscores every loser it was paired against
-        for r in records:
-            assert r["winner_score"] >= r["loser_score"]
+        for winner, loser in pairs:
+            assert winner.score >= loser.score
 
     def test_score_ties_rank_by_insertion(self):
         entries = make_entries([2.0, 2.0, 0.0])
-        pairs, records = build_pairs_top_s(
-            entries, s=1, threshold=1.0, rng=np.random.default_rng(0)
-        )
-        assert records[0]["winner_index"] == 0
+        pairs = build_pairs_top_s(entries, s=1, threshold=1.0, rng=np.random.default_rng(0))
+        assert pairs[0][0] is entries[0]
 
     def test_bad_s(self):
         with pytest.raises(ConfigError):
@@ -693,18 +681,47 @@ class TestRunIslandSearch:
         assert [p.decision == "skipped" for p in res.phases] == [False, True]
         assert res.ledger.phase.tolist() == [1, 1, 2, 2, 3, 3, 3, 3]
 
-    def test_snapshot_pairs_respect_top_s_ranking(self):
-        res = run_island_search(atlas_cfg(), seed=4)
-        assert res.snapshots  # at least one phase built pairs
-        for snap in res.snapshots:
-            scores = dict(zip(snap.entry_indices, snap.entry_scores))
-            passed = sorted(
-                (i for i in snap.entry_indices if scores[i] >= snap.threshold),
-                key=lambda i: (-scores[i], i),
-            )
-            top = set(passed[: len(snap.pair_records)])
-            for rec in snap.pair_records:
-                assert rec["winner_index"] in top
+    def test_built_pairs_respect_top_s_ranking(self, monkeypatch):
+        calls = []
+        real = islands.build_pairs_top_s
+
+        def spy(entries, s, threshold, rng):
+            pairs = real(entries, s, threshold, rng)
+            calls.append((entries, threshold, pairs))
+            return pairs
+        monkeypatch.setattr(islands, "build_pairs_top_s", spy)
+        run_island_search(atlas_cfg(), seed=4)
+        assert calls  # at least one phase built pairs
+        for entries, threshold, pairs in calls:
+            passed = sorted((e for e in entries if e.score >= threshold),
+                            key=lambda e: (-e.score, e.index))
+            top = {e.index for e in passed[: len(pairs)]}
+            for winner, _ in pairs:
+                assert winner.index in top
+
+    def test_phase_whose_pairs_share_an_anchor_is_skipped(self, monkeypatch):
+        # phase 2's builder returns only a same-anchor pair: the phase is
+        # skipped and adds no rows, so phase 3 fits phase 1's rows and its own
+        real_build, real_fit = islands.build_pairs_top_s, islands.fit_dpo
+        kept, fitted = [], []
+
+        def build(entries, s, threshold, rng):
+            pairs = real_build(entries, s, threshold, rng)
+            if len(kept) == 1:
+                pairs = [(entries[0], entries[0])]
+            kept.append(sum(w.anchor != l.anchor for w, l in pairs))
+            return pairs
+
+        def fit(dphi, lam):
+            fitted.append(len(dphi))
+            return real_fit(dphi, lam)
+        monkeypatch.setattr(islands, "build_pairs_top_s", build)
+        monkeypatch.setattr(islands, "fit_dpo", fit)
+        res = run_island_search(atlas_cfg(rounds=30), seed=0)
+        assert [p.decision == "skipped" for p in res.phases] == [False, True, False]
+        assert res.phases[1].n_pairs == 0
+        assert kept[0] > 0 and kept[2] > 0
+        assert fitted[::2] == [kept[0], kept[0] + kept[2]]
 
     def test_accept_rate_arithmetic(self):
         res = run_island_search(atlas_cfg(), seed=5)

@@ -175,10 +175,6 @@ class TestKl:
         with pytest.raises(ContractError):
             kl(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
-    def test_support_floor_enforced_on_q(self):
-        with pytest.raises(ContractError):
-            kl(np.array([0.5, 0.5]), np.array([1e-12, 1.0 - 1e-12]), floor=1e-9)
-
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(500):
@@ -206,8 +202,6 @@ class TestKl:
         p = np.full((3, 2), 0.5)
         with pytest.raises(ContractError):
             kl(p, np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]]))
-        with pytest.raises(ContractError):
-            kl(p, np.full((3, 2), 0.5), floor=0.6)
         with pytest.raises(ContractError):
             kl(p, np.full(2, 0.5))
         with pytest.raises(ContractError):
