@@ -271,9 +271,9 @@ def load_config(args) -> RunConfig:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="key = value config file")
-    sub.add_argument("--seed", metavar="N", type=int, help="single seed")
-    sub.add_argument("--seeds", metavar="N..M",
-                     help="seed range N..M or comma list")
+    seeds = sub.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", metavar="N", type=int, help="single seed")
+    seeds.add_argument("--seeds", metavar="N..M", help="seed range N..M or comma list")
     sub.add_argument("--out", metavar="DIR", default="out", help="output directory")
     sub.add_argument("--mode", metavar="NAME",
                      help="override the configured mode")

@@ -20,6 +20,7 @@ Action feature vectors are unit rows and utilities are inner products.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -168,6 +169,59 @@ def make_features(n_actions: int, dim: int, rng: np.random.Generator,
         norms = _row_norms(rows)
     rows /= norms[..., None]
     return rows
+
+
+def draw_pairs(n_actions: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n ordered pairs of distinct actions: the first uniform, the second uniform over the rest."""
+    first = rng.integers(n_actions, size=n)
+    second = rng.integers(n_actions - 1, size=n)
+    second += second >= first
+    return first, second
+
+
+def pair_rows(n_actions: int, dim: int, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """Each of n_pairs fresh contexts' first-minus-second unit row, for one drawn pair of actions.
+
+    The bits, and rng's end state, of make_features(n_actions, dim, rng, (n_pairs,)), then
+    draw_pairs, then phi[i, first[i]] - phi[i, second[i]]; but the contexts are never held.
+    Pass one draws them a block at a time (a generator fills its output in order) to advance
+    rng and find the zero rows, which it redraws as make_features does. Pass two draws the
+    blocks again from a copy of rng made before pass one and normalizes only each pair's two
+    rows. At its peak it holds the difference rows, the pair indices and one block.
+    """
+    if n_actions < 2 or dim < 1:
+        raise ConfigError(f"need n_actions >= 2 and dim >= 1, got {n_actions}, {dim}")
+    per = max(1, _NORM_BLOCK // n_actions)  # contexts per block
+    starts = range(0, n_pairs, per)  # each block's first context
+    block = np.empty((per, n_actions, dim))
+    replay = copy.deepcopy(rng)
+    zero = []  # flat row indices, as make_features' boolean mask orders them
+    for lo in starts:
+        ctx = block[:n_pairs - lo]
+        rng.standard_normal(out=ctx)
+        # a norm is 0 exactly when the sum of squares is
+        zero += (lo * n_actions + np.flatnonzero(np.vecdot(ctx, ctx) == 0.0)).tolist()
+    redrawn = {}
+    while zero:  # practically unreachable
+        rows = rng.standard_normal((len(zero), dim))
+        redrawn.update(zip(zero, rows))
+        zero = [i for i, row in zip(zero, rows) if row.dot(row) == 0.0]
+    first, second = draw_pairs(n_actions, n_pairs, rng)
+    out = np.empty((n_pairs, dim))
+    for lo in starts:
+        ctx = block[:n_pairs - lo]
+        replay.standard_normal(out=ctx)
+        flat = ctx.reshape(-1, dim)
+        for i, row in redrawn.items():
+            if 0 <= i - lo * n_actions < len(flat):
+                flat[i - lo * n_actions] = row
+        ids = np.arange(len(ctx))
+        a = ctx[ids, first[lo:lo + per]]
+        b = ctx[ids, second[lo:lo + per]]
+        a /= np.linalg.norm(a, axis=-1)[:, None]
+        b /= np.linalg.norm(b, axis=-1)[:, None]
+        np.subtract(a, b, out=out[lo:lo + per])
+    return out
 
 
 def spread_drift_limits(cfg: DriftConfig, horizon: int, dim: int) -> DriftConfig:

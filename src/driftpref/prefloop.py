@@ -27,7 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .config import RunConfig
-from .env import generate_path, make_drift, make_features
+from .env import generate_path, make_drift, make_features, pair_rows
 from .errors import ConfigError, ContractError
 from .estimator import fit_logistic_window, window_size
 from .numerics import newton_logistic, sigmoid
@@ -111,7 +111,7 @@ def sample_categorical(rng: np.random.Generator, weights: list[float] | np.ndarr
     cdf = list(accumulate(weights))
     if not (cdf and 0.0 < cdf[-1] < math.inf) or min(weights) < 0.0:
         raise ContractError("weights must be nonnegative with a positive finite total")
-    i = bisect_right(cdf, rng.uniform() * cdf[-1])
+    i = bisect_right(cdf, rng.random() * cdf[-1])
     # u * total rounds up to the total only when the total is subnormal
     return i if i < len(cdf) else bisect_left(cdf, cdf[-1])
 
@@ -149,32 +149,24 @@ class RunRecord:
 
 
 def _warm_start(
-    cfg: RunConfig, seed: int, theta0: np.ndarray
+    cfg: RunConfig, rng: np.random.Generator, theta0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fit the initial policy on a pre-run preference batch.
+    """Fit the initial policy on a pre-run preference batch drawn from rng.
 
     Returns (initial estimate, initial reference tilt). The tilt direction
     comes from data only; warm_scale fixes its length, playing the role of
     the initial policy's sharpness. Both loop variants share this start, so
-    the fixed-reference arm begins well adapted and then ages. At its peak it
-    holds the contexts, the difference rows and one gather of them; the fit
-    runs after the contexts are released.
+    the fixed-reference arm begins well adapted and then ages. The batch's
+    contexts are never held: pair_rows streams them twice, a block at a
+    time, and keeps each pair's difference row, so the peak is the Newton
+    fit on those rows.
     """
-    rng = np.random.default_rng([seed, _S_WARM])
-    n0, K, d = cfg.warm_pairs, cfg.K, cfg.d
-    phi = make_features(K, d, rng, (n0,))
-    first = rng.integers(K, size=n0)
-    second = rng.integers(K - 1, size=n0)
-    second += second >= first
-    rows = np.arange(n0)
-    dphi = phi[rows, first]
-    dphi -= phi[rows, second]
-    del phi  # the fit needs only dphi
-    wins = rng.uniform(size=n0) < sigmoid(dphi @ theta0)
+    dphi = pair_rows(cfg.K, cfg.d, cfg.warm_pairs, rng)
+    wins = rng.uniform(size=cfg.warm_pairs) < sigmoid(dphi @ theta0)
     theta_hat, _ = fit_logistic_window(dphi, wins.astype(float), cfg.lam)
     norm = float(np.linalg.norm(theta_hat))
     if norm <= 1e-12:
-        return np.zeros(d), np.zeros(d)
+        return np.zeros(cfg.d), np.zeros(cfg.d)
     return theta_hat, (cfg.warm_scale / norm) * theta_hat
 
 
@@ -252,7 +244,8 @@ def run_preference_loop(cfg: RunConfig, seed: int) -> RunRecord:
     theta_hat = np.zeros(d)
     g_ref = np.zeros(d)
     if cfg.warm_scale > 0.0:
-        theta_hat, g_ref = _warm_start(cfg, seed, path.thetas[0])
+        theta_hat, g_ref = _warm_start(cfg, np.random.default_rng([seed, _S_WARM]),
+                                        path.thetas[0])
     # P(a beats b at step t); made after the warm start, which sets the peak memory
     win_prob = sigmoid(utils[:, :, None] - utils[:, None, :])
 
@@ -275,7 +268,7 @@ def run_preference_loop(cfg: RunConfig, seed: int) -> RunRecord:
         weights[first] = 0.0  # the second action differs from the first
         second = sample_categorical(rng_agent, weights)
         rows[t] = phi[first] - phi[second]
-        labels[t] = rng_agent.uniform() < win_prob[t, first, second]  # 1.0: the first wins
+        labels[t] = rng_agent.random() < win_prob[t, first, second]  # 1.0: the first wins
 
         if t in ends:
             # gated phases run back to back from step 0, so the last

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig
-from .env import DriftConfig, generate_path, make_features, spread_drift_limits
+from .env import DriftConfig, draw_pairs, generate_path, make_features, spread_drift_limits
 from .errors import ConfigError
 from .estimator import (
     estimation_error_rhs,
@@ -329,9 +329,7 @@ def check_estimation_error(
     paths = generate_path(horizon, d, drift, rngs)
     lhs, rhs, c_values = [], [], []
     for rng, feats, path in zip(rngs, contexts, paths):
-        first = rng.integers(0, K, size=horizon)
-        second = rng.integers(0, K - 1, size=horizon)
-        second = second + (second >= first)
+        first, second = draw_pairs(K, horizon, rng)
         dphi = feats[first] - feats[second]
         z = np.einsum("td,td->t", dphi, path.thetas)
         labels = (rng.uniform(size=horizon) < sigmoid(z)).astype(float)

@@ -67,6 +67,34 @@ MUTANTS = (
     Mutant("one-winner-too-many", "islands.py", "winners = passed[:s]",
            "winners = passed[:s + 1]",
            ("tests/test_islands.py::TestBuildPairsTopS",)),
+    Mutant("pair-rows-first-twice", "env.py", "b = ctx[ids, second[lo:lo + per]]",
+           "b = ctx[ids, first[lo:lo + per]]",
+           ("tests/test_prefloop.py::TestWarmStartOracle",)),
+    Mutant("pair-rows-block-shifted", "env.py", "starts = range(0, n_pairs, per)",
+           "starts = range(0, n_pairs, per + 1)",
+           ("tests/test_prefloop.py::TestWarmStartOracle::test_matches_the_materialised_start",)),
+    Mutant("pair-rows-no-zero-replay", "env.py", "while zero:", "while False:",
+           ("tests/test_prefloop.py::TestWarmStartOracle::"
+            "test_zero_rows_are_redrawn_as_the_materialised_start_redraws_them",)),
+    Mutant("einsum-block-norm", "env.py",
+           "np.linalg.norm(flat[i:i + _NORM_BLOCK], axis=-1)",
+           'np.sqrt(np.einsum("ij,ij->i", flat[i:i + _NORM_BLOCK], flat[i:i + _NORM_BLOCK]))',
+           ("tests/test_env.py::TestMakeFeatures",)),
+    Mutant("slot-group-one-too-large", "islands.py", "g = max(1, min([n_proposals - j]",
+           "g = 1 + max(1, min([n_proposals - j]",
+           ("tests/test_islands.py::TestIslandStepOracle",)),
+    Mutant("failure-flags-whole-group", "islands.py", "if len(cands) <= n:", "if True:",
+           ("tests/test_islands.py::TestIslandStep::"
+            "test_failures_stay_in_their_slot_or_candidate",)),
+    Mutant("max-evolving-exponent", "verify.py", "MAX_EVOLVING_EXPONENT = 0.95",
+           "MAX_EVOLVING_EXPONENT = 0.96",
+           ("tests/test_verify.py::TestScalingVerdictThresholds",)),
+    Mutant("min-bias-separation", "verify.py", "MIN_BIAS_SEPARATION = 0.15",
+           "MIN_BIAS_SEPARATION = 0.16",
+           ("tests/test_verify.py::TestScalingVerdictThresholds",)),
+    Mutant("frozen-bias-ceiling", "verify.py", "FROZEN_BIAS_CEILING = 1e-3",
+           "FROZEN_BIAS_CEILING = 2e-3",
+           ("tests/test_verify.py::TestScalingVerdictThresholds",)),
 )
 
 

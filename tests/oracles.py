@@ -15,6 +15,9 @@ pair from Python floats and reads each label's probability from one table;
 the array draw, the per-step scalar label and the method-based softmax here
 are the references for their bits. make_features takes its row norms a
 block at a time; the one-shot norm here is the reference for its bits.
+The warm start streams its contexts twice and never holds them; the
+warm start here, which draws every context at once and gathers each pair's
+rows from them, is the reference for its rows, its fit and its generator.
 The island step scores its proposal slots in groups; the slot-by-slot step
 here, one scorer call per slot, is the reference for its entries, its
 island states and its generators.
@@ -300,6 +303,27 @@ def one_shot_features(n_actions, dim, rng, lead=()):
         rows[bad] = rng.standard_normal((int(bad.sum()), dim))
         norms = np.linalg.norm(rows, axis=-1)
     return rows / norms[..., None]
+
+
+def gathered_pair_rows(n_actions, dim, n_pairs, rng):
+    """Each context's first-minus-second row, gathered from the one-shot draw of every context."""
+    phi = one_shot_features(n_actions, dim, rng, (n_pairs,))
+    first = rng.integers(n_actions, size=n_pairs)
+    second = rng.integers(n_actions - 1, size=n_pairs)
+    second += second >= first
+    rows = np.arange(n_pairs)
+    return phi[rows, first] - phi[rows, second]
+
+
+def materialised_warm_start(cfg, rng, theta0):
+    """The warm start's (estimate, tilt), fitted on rows gathered from every held context."""
+    dphi = gathered_pair_rows(cfg.K, cfg.d, cfg.warm_pairs, rng)
+    wins = rng.uniform(size=cfg.warm_pairs) < sigmoid(dphi @ theta0)
+    theta_hat, _ = fit_logistic_window(dphi, wins.astype(float), cfg.lam)
+    norm = float(np.linalg.norm(theta_hat))
+    if norm <= 1e-12:
+        return np.zeros(cfg.d), np.zeros(cfg.d)
+    return theta_hat, (cfg.warm_scale / norm) * theta_hat
 
 
 def slot_by_slot_island_step(states, policy_row, anchors, scorer, rngs, round_idx,

@@ -506,6 +506,11 @@ class TestMainWiring:
         (["run", "--seed", "a"], "error: argument --seed: invalid int value: 'a'\n"),
         ([], "error: the following arguments are required: command\n"),
         (["run", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+        # --seed and --seeds both set the seeds, so together they are an error
+        (["run", "--seed", "3", "--seeds", "0..1"],
+         "error: argument --seeds: not allowed with argument --seed\n"),
+        (["verify", "--seeds", "0..1", "--seed", "3"],
+         "error: argument --seed: not allowed with argument --seeds\n"),
     ])
     def test_bad_command_line_prints_one_error_line(self, tmp_path, monkeypatch, capsys,
                                                     argv, message):

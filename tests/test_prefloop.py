@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftpref import prefloop
+from driftpref import env, prefloop
 from driftpref.config import RunConfig
 from driftpref.env import generate_path, make_drift
 from driftpref.errors import ConfigError, ContractError, ConvergenceError
@@ -24,7 +24,15 @@ from driftpref.prefloop import (
     run_preference_loop,
     sample_categorical,
 )
-from oracles import cumsum_draw, dpo_loss, preference_ledger, softplus, step_label
+from oracles import (
+    cumsum_draw,
+    dpo_loss,
+    gathered_pair_rows,
+    materialised_warm_start,
+    preference_ledger,
+    softplus,
+    step_label,
+)
 
 
 def random_row(rng, k):
@@ -44,6 +52,35 @@ class FixedUniform:
 
     def uniform(self):
         return self.u
+
+    def random(self):
+        return self.u
+
+
+class ZeroingGenerator:
+    """A generator whose normal draws come out zero at the given row positions of its stream."""
+
+    def __init__(self, seed, dim, zero_rows):
+        self.rng, self.dim = np.random.default_rng(seed), dim
+        self.zero_rows, self.drawn = zero_rows, 0
+
+    def standard_normal(self, size=None, out=None):
+        out = self.rng.standard_normal(size, out=out)
+        flat = out.reshape(-1, self.dim)
+        for i in self.zero_rows:
+            if self.drawn <= i < self.drawn + len(flat):
+                flat[i - self.drawn] = 0.0
+        self.drawn += len(flat)
+        return out
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
 
 
 def bisect_root(fn, lo, hi, iters=300):
@@ -733,21 +770,65 @@ class TestRunPreferenceLoop:
             assert p.n_pairs > 0
 
 
+class TestWarmStartOracle:
+    """The streamed warm start against the one that holds every context."""
+
+    def assert_same_start(self, cfg, make_rng, theta0):
+        rng, twin = make_rng(), make_rng()
+        rows = env.pair_rows(cfg.K, cfg.d, cfg.warm_pairs, rng)
+        assert rows.tobytes() == gathered_pair_rows(cfg.K, cfg.d, cfg.warm_pairs, twin).tobytes()
+        assert rng.random() == twin.random()  # both leave the generator at the same state
+        rng, twin = make_rng(), make_rng()
+        start = prefloop._warm_start(cfg, rng, theta0)
+        oracle = materialised_warm_start(cfg, twin, theta0)
+        assert [a.tobytes() for a in start] == [a.tobytes() for a in oracle]
+        assert rng.random() == twin.random()
+
+    # one pair, a block short by one, one block, one past it, three blocks and a remainder
+    @pytest.mark.parametrize("n_actions", [2, 3, 5])
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    @pytest.mark.parametrize("size", ["one", "block-1", "block", "block+1", "3-blocks+7"])
+    def test_matches_the_materialised_start(self, n_actions, dim, size):
+        per = env._NORM_BLOCK // n_actions  # contexts per block
+        n = {"one": 1, "block-1": per - 1, "block": per, "block+1": per + 1,
+             "3-blocks+7": 3 * per + 7}[size]
+        cfg = replace(RunConfig(), K=n_actions, d=dim, warm_pairs=n, warm_scale=60.0)
+        for seed in range(3):
+            theta0 = np.random.default_rng([seed, 99]).standard_normal(dim)
+            theta0 /= np.linalg.norm(theta0)
+            self.assert_same_start(
+                cfg, lambda: np.random.default_rng([seed, prefloop._S_WARM]), theta0)
+
+    def test_zero_rows_are_redrawn_as_the_materialised_start_redraws_them(self):
+        # two zero rows in the first block and one in the third; the first
+        # redrawn row comes out zero too, so it is redrawn a second time
+        K, d = 5, 3
+        per = env._NORM_BLOCK // K
+        cfg = replace(RunConfig(), K=K, d=d, warm_pairs=3 * per + 7, warm_scale=60.0)
+        zero_rows = (0, 7, 2 * per * K + 3, cfg.warm_pairs * K)
+        theta0 = np.full(d, 1.0 / math.sqrt(d))
+        self.assert_same_start(cfg, lambda: ZeroingGenerator(4, d, zero_rows), theta0)
+        rows = env.pair_rows(K, d, cfg.warm_pairs, ZeroingGenerator(4, d, zero_rows))
+        assert np.all(np.isfinite(rows))
+
+
 class TestWarmStartMemory:
     def test_traced_peak_at_the_bench_size(self):
-        # At pref-drift's 25,600 warm pairs the peak is the gather of the
-        # difference rows: the 5.1 MB context batch, the 1.0 MB rows and one
-        # 1.0 MB gathered temporary, near 7.8e6 bytes. With one
-        # np.linalg.norm call over the batch in make_features, and the batch
-        # kept through the fit, it peaked near 12.3e6. A small call first
+        # At pref-drift's 25,600 warm pairs the contexts are never held: the
+        # peak is the Newton fit on the 1.0 MB difference rows, near 2.8e6
+        # bytes; one more row-sized array held through the fit would pass
+        # 3.5e6. Holding the (25600, 5, 5) context batch (5.1 MB) and
+        # gathering from it peaked near 7.8e6; one np.linalg.norm call over
+        # the batch, kept through the fit, near 12.3e6. A small call first
         # loads what a cold first call would count.
         cfg = replace(RunConfig(), warm_scale=60.0, warm_pairs=25600)
         theta0 = np.full(cfg.d, 1.0 / math.sqrt(cfg.d))
-        prefloop._warm_start(replace(cfg, warm_pairs=10), 0, theta0)
+        prefloop._warm_start(replace(cfg, warm_pairs=10), np.random.default_rng(0), theta0)
+        rng = np.random.default_rng([0, prefloop._S_WARM])
         tracemalloc.start()
         try:
-            prefloop._warm_start(cfg, 0, theta0)
+            prefloop._warm_start(cfg, rng, theta0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 3.5e6

@@ -98,12 +98,15 @@ class TestRotation:
         plain = run_preference_loop(cfg, seed)
         q, _ = np.linalg.qr(np.random.default_rng([seed, 10]).standard_normal((cfg.d, cfg.d)))
         features, generate_path = prefloop.make_features, prefloop.generate_path
+        pair_rows = prefloop.pair_rows
 
         def rotated_path(*args):
             path = generate_path(*args)
             return ThetaPath(path.thetas @ q.T, path.tv_used)
 
         monkeypatch.setattr(prefloop, "make_features", lambda *args: features(*args) @ q.T)
+        # the warm start's difference rows, which it builds without make_features
+        monkeypatch.setattr(prefloop, "pair_rows", lambda *args: pair_rows(*args) @ q.T)
         monkeypatch.setattr(prefloop, "generate_path", rotated_path)
         rotated = run_preference_loop(cfg, seed)
         np.testing.assert_allclose(rotated.ledger.regret_cum, plain.ledger.regret_cum,
