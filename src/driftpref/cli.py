@@ -182,15 +182,12 @@ def execute_verify(cfg: RunConfig, out_dir: Path) -> int:
         payload["frozen_bias"] = asdict(check_frozen_bias())
     write_text(out_dir / "verify_reports.json", dump_json(payload) + "\n")
 
-    lines = [",".join(("check", "trials", "violations", "excluded", "max_ratio",
-                       "violation_rate", "allowed_rate", "passed"))]
-    for r in reports:
-        lines.append(",".join([
-            r.lemma_id, str(r.trials), str(r.violations), str(r.excluded),
-            fmt_float(r.max_ratio), fmt_float(r.violation_rate),
-            fmt_float(r.allowed_rate), str(int(r.passed)),
-        ]))
-    write_text(out_dir / "verify_summary.csv", "\n".join(lines) + "\n")
+    header = "check,trials,violations,excluded,max_ratio,violation_rate,allowed_rate,passed\n"
+    row = "%s,%d,%d,%d,%.17g,%.17g,%.17g,%d\n"
+    table = header + row * len(reports) % tuple(chain.from_iterable(
+        (r.lemma_id, r.trials, r.violations, r.excluded, r.max_ratio, r.violation_rate,
+         r.allowed_rate, r.passed) for r in reports))
+    write_text(out_dir / "verify_summary.csv", table)
     return 0
 
 

@@ -31,7 +31,7 @@ from .errors import ConfigError, ContractError
 
 # Unit-norm slack for the rows of a realized path.
 _NORM_TOL = 1e-9
-_NORM_BLOCK = 4096  # feature rows per np.linalg.norm call
+_NORM_BLOCK = 4096  # feature rows per block of pair_rows' streamed draw
 
 
 @dataclass
@@ -142,31 +142,15 @@ def generate_path(
     return [_unit_path(thetas, tv) for thetas, tv in zip(stack, tv_used)]
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(rows, axis=-1) a block of rows at a time, with the same bits."""
-    if rows.size <= _NORM_BLOCK * rows.shape[-1]:
-        return np.linalg.norm(rows, axis=-1)
-    flat = rows.reshape(-1, rows.shape[-1])
-    norms = np.empty(len(flat))
-    for i in range(0, len(flat), _NORM_BLOCK):
-        norms[i:i + _NORM_BLOCK] = np.linalg.norm(flat[i:i + _NORM_BLOCK], axis=-1)
-    return norms.reshape(rows.shape[:-1])
-
-
 def make_features(n_actions: int, dim: int, rng: np.random.Generator,
                   lead: tuple[int, ...] = ()) -> np.ndarray:
-    """Draw one (n_actions, dim) context of unit-length feature rows, or a lead stack of them.
-
-    At its peak it holds the draw, one norm per row and one norm block's temporaries.
-    """
+    """Draw one (n_actions, dim) context of unit-length feature rows, or a lead stack of them."""
     if n_actions < 1 or dim < 1:
         raise ConfigError(f"need n_actions >= 1 and dim >= 1, got {n_actions}, {dim}")
     rows = rng.standard_normal((*lead, n_actions, dim))
-    norms = _row_norms(rows)
-    while np.any(norms == 0.0):  # practically unreachable
+    while not (norms := np.linalg.norm(rows, axis=-1)).all():  # a zero row: practically never
         bad = norms == 0.0
         rows[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = _row_norms(rows)
     rows /= norms[..., None]
     return rows
 

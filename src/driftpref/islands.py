@@ -33,7 +33,9 @@ from .prefloop import (PhaseReport, RunRecord, fit_dpo, gate, phase_ends, promot
                        propose_reference, sample_categorical)
 from .regret import RegretLedger, nmr as nmr_of
 
-# Substream tags (distinct from the preference loop's 0..3).
+# Substream tags. The episode tags key the scorer's [seed, _S_EVAL, round, episode,
+# tag] streams and the reward bandit's [seed, tag], the same keys as the preference
+# loop's path, context and agent streams (no run mixes modes); 5..8 follow its 0..4.
 _S_EPATH, _S_ECTX, _S_ENOISE = 0, 1, 2
 _S_ISLAND, _S_EVAL, _S_GATE2, _S_PAIRS = 5, 6, 7, 8
 

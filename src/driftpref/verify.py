@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig
 from .env import DriftConfig, draw_pairs, generate_path, make_features, spread_drift_limits
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .estimator import (
     estimation_error_rhs,
     fit_logistic_window,
@@ -394,6 +394,31 @@ def scaling_base_config() -> RunConfig:
     )
 
 
+def _run_arms(base: RunConfig, horizons: tuple, seeds: tuple):
+    """Run both arms of base for each seed and each horizon, in that loop order.
+
+    Returns final regret and cumulative bias as (arm, seed, horizon) arrays,
+    the evolving arm first, and the evolving arm's accept rates in run order.
+    A ConvergenceError leaves here naming its seed.
+    """
+    regret = np.empty((2, len(seeds), len(horizons)))
+    bias = np.empty_like(regret)
+    accept_rates = []
+    for i, seed in enumerate(seeds):
+        for j, T in enumerate(horizons):
+            for a, mode in enumerate(("evodpo", "fixed-ref")):
+                try:
+                    run = run_preference_loop(replace(base, H=T, mode=mode), seed)
+                except ConvergenceError as exc:
+                    exc.seed = seed
+                    raise
+                regret[a, i, j] = run.ledger.final_regret()
+                bias[a, i, j] = run.ledger.cumulative_bias()
+                if (rate := run.accept_rate()) is not None:  # None for the fixed arm
+                    accept_rates.append(rate)
+    return regret, bias, accept_rates
+
+
 @dataclass
 class ScalingReport:
     """Multi-horizon paired comparison of the two reference policies."""
@@ -447,49 +472,27 @@ def check_regret_scaling(
         raise ConfigError("scaling study needs at least two horizons")
     horizons = tuple(int(h) for h in horizons)
 
-    evo_R = np.empty((len(seeds), len(horizons)))
-    fix_R = np.empty_like(evo_R)
-    evo_B = np.empty_like(evo_R)
-    fix_B = np.empty_like(evo_R)
-    accept_rates = []
-    for i, s in enumerate(seeds):
-        for j, T in enumerate(horizons):
-            evo = run_preference_loop(replace(base, H=T, mode="evodpo"), s)
-            fix = run_preference_loop(replace(base, H=T, mode="fixed-ref"), s)
-            evo_R[i, j] = evo.ledger.final_regret()
-            fix_R[i, j] = fix.ledger.final_regret()
-            evo_B[i, j] = evo.ledger.cumulative_bias()
-            fix_B[i, j] = fix.ledger.cumulative_bias()
-            rate = evo.accept_rate()
-            if rate is not None:
-                accept_rates.append(rate)
-
-    evo_exp = [slope_fit(horizons, evo_R[i]) for i in range(len(seeds))]
-    fix_exp = [slope_fit(horizons, fix_R[i]) for i in range(len(seeds))]
-    evo_bias_slope = [slope_fit(horizons, evo_B[i]) for i in range(len(seeds))]
-    fix_bias_slope = [slope_fit(horizons, fix_B[i]) for i in range(len(seeds))]
-
-    evo_agg = float(slope_fit(horizons, evo_R.mean(axis=0)))
-    fix_agg = float(slope_fit(horizons, fix_R.mean(axis=0)))
-    domination = float(np.mean([e < f for e, f in zip(evo_exp, fix_exp)]))
-    separation = float(
-        slope_fit(horizons, fix_B.mean(axis=0))
-        - slope_fit(horizons, evo_B.mean(axis=0))
-    )
+    regret, bias, accept_rates = _run_arms(base, horizons, seeds)
+    exponents = [[slope_fit(horizons, r) for r in arm] for arm in regret]
+    bias_slopes = [[slope_fit(horizons, b) for b in arm] for arm in bias]
+    evo_agg, fix_agg = (slope_fit(horizons, arm.mean(axis=0)) for arm in regret)
+    domination = float(np.mean([e < f for e, f in zip(*exponents)]))
+    separation = (slope_fit(horizons, bias[1].mean(axis=0))
+                  - slope_fit(horizons, bias[0].mean(axis=0)))
     passed_exponent = evo_agg <= MAX_EVOLVING_EXPONENT
     passed_domination = domination >= MIN_DOMINATION
     passed_bias = separation >= MIN_BIAS_SEPARATION
     return ScalingReport(
         horizons=horizons,
         seeds=seeds,
-        evolving_regret=evo_R.tolist(),
-        fixed_regret=fix_R.tolist(),
-        evolving_bias=evo_B.tolist(),
-        fixed_bias=fix_B.tolist(),
-        evolving_exponents=[float(x) for x in evo_exp],
-        fixed_exponents=[float(x) for x in fix_exp],
-        evolving_bias_slopes=[float(x) for x in evo_bias_slope],
-        fixed_bias_slopes=[float(x) for x in fix_bias_slope],
+        evolving_regret=regret[0].tolist(),
+        fixed_regret=regret[1].tolist(),
+        evolving_bias=bias[0].tolist(),
+        fixed_bias=bias[1].tolist(),
+        evolving_exponents=exponents[0],
+        fixed_exponents=exponents[1],
+        evolving_bias_slopes=bias_slopes[0],
+        fixed_bias_slopes=bias_slopes[1],
         evolving_exponent=evo_agg,
         fixed_exponent=fix_agg,
         domination=domination,
@@ -525,16 +528,8 @@ def check_frozen_bias(
     if seeds is None:
         seeds = tuple(range(10))
     seeds = tuple(int(s) for s in seeds)
-    cfg = replace(base, H=horizon, drift_mode="frozen")
-    evo_vals = []
-    fix_vals = []
-    for s in seeds:
-        evo = run_preference_loop(replace(cfg, mode="evodpo"), s)
-        fix = run_preference_loop(replace(cfg, mode="fixed-ref"), s)
-        evo_vals.append(abs(evo.ledger.cumulative_bias()) / horizon)
-        fix_vals.append(abs(fix.ledger.cumulative_bias()) / horizon)
-    evo_mean = float(np.mean(evo_vals))
-    fix_mean = float(np.mean(fix_vals))
+    _, bias, _ = _run_arms(replace(base, drift_mode="frozen"), (horizon,), seeds)
+    evo_mean, fix_mean = (float(np.mean(np.abs(arm[:, 0]) / horizon)) for arm in bias)
     return FrozenBiasReport(
         horizon=horizon,
         seeds=seeds,

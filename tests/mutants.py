@@ -76,9 +76,8 @@ MUTANTS = (
     Mutant("pair-rows-no-zero-replay", "env.py", "while zero:", "while False:",
            ("tests/test_prefloop.py::TestWarmStartOracle::"
             "test_zero_rows_are_redrawn_as_the_materialised_start_redraws_them",)),
-    Mutant("einsum-block-norm", "env.py",
-           "np.linalg.norm(flat[i:i + _NORM_BLOCK], axis=-1)",
-           'np.sqrt(np.einsum("ij,ij->i", flat[i:i + _NORM_BLOCK], flat[i:i + _NORM_BLOCK]))',
+    Mutant("einsum-feature-norm", "env.py", "np.linalg.norm(rows, axis=-1)",
+           'np.sqrt(np.einsum("...j,...j->...", rows, rows))',
            ("tests/test_env.py::TestMakeFeatures",)),
     Mutant("slot-group-one-too-large", "islands.py", "g = max(1, min([n_proposals - j]",
            "g = 1 + max(1, min([n_proposals - j]",
@@ -95,6 +94,19 @@ MUTANTS = (
     Mutant("frozen-bias-ceiling", "verify.py", "FROZEN_BIAS_CEILING = 1e-3",
            "FROZEN_BIAS_CEILING = 2e-3",
            ("tests/test_verify.py::TestScalingVerdictThresholds",)),
+    Mutant("study-arms-swapped", "verify.py", 'enumerate(("evodpo", "fixed-ref"))',
+           'enumerate(("fixed-ref", "evodpo"))',
+           ("tests/test_verify.py::TestScalingVerdictThresholds",)),
+    Mutant("frozen-study-one-arm", "verify.py", "for arm in bias)",
+           "for arm in (bias[0], bias[0]))",
+           ("tests/test_verify.py::TestScalingVerdictThresholds::test_frozen_bias_ceiling",)),
+    Mutant("verify-row-columns-swapped", "cli.py", "r.max_ratio, r.violation_rate,",
+           "r.violation_rate, r.max_ratio,",
+           ("tests/test_golden.py::test_emitted_bytes_match_golden_digests[verify]",)),
+    Mutant("study-seed-unset", "verify.py", "exc.seed = seed", "pass",
+           ("tests/test_verify.py::TestStudySeedNaming",)),
+    Mutant("window-one-row-short", "prefloop.py", "lo = max(0, t - W)", "lo = max(0, t - W + 1)",
+           ("tests/test_reference_run.py::TestDrawnConfigs",)),
 )
 
 

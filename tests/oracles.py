@@ -13,14 +13,17 @@ run's windows as one stack; the per-window loop here is the reference for
 every trial's LHS, RHS and covariance floor. The preference loop draws its
 pair from Python floats and reads each label's probability from one table;
 the array draw, the per-step scalar label and the method-based softmax here
-are the references for their bits. make_features takes its row norms a
-block at a time; the one-shot norm here is the reference for its bits.
+are the references for their bits. The one-shot feature draw here, one
+np.linalg.norm call over every row, is the reference for make_features.
 The warm start streams its contexts twice and never holds them; the
 warm start here, which draws every context at once and gathers each pair's
 rows from them, is the reference for its rows, its fit and its generator.
 The island step scores its proposal slots in groups; the slot-by-slot step
 here, one scorer call per slot, is the reference for its entries, its
-island states and its generators.
+island states and its generators. The preference loop batches its
+utilities, draws and ledger; the run here takes one step at a time, one
+window fit per step, and is the reference for its ledger and phase reports.
+It is frozen: it is never optimized.
 """
 
 import math
@@ -28,17 +31,30 @@ import math
 import numpy as np
 
 from driftpref.cli import PHASE_COLUMNS
-from driftpref.env import DriftConfig, generate_path, make_features, spread_drift_limits
+from driftpref.env import (
+    DriftConfig,
+    generate_path,
+    make_drift,
+    make_features,
+    spread_drift_limits,
+)
 from driftpref.errors import ConvergenceError
 from driftpref.estimator import (
     estimation_error_rhs,
     fit_logistic_window,
     min_curvature_constant,
+    window_size,
 )
 from driftpref.islands import _SCALE_CAP, IslandEntry, StrategyCandidate
 from driftpref.numerics import sigmoid
 from driftpref.policies import softmax_rows
-from driftpref.prefloop import sample_categorical
+from driftpref.prefloop import (
+    CANDIDATE_LABELS,
+    PhaseReport,
+    fit_dpo,
+    propose_reference,
+    sample_categorical,
+)
 from driftpref.regret import RegretLedger
 from driftpref.verify import local_window_variation
 
@@ -369,3 +385,86 @@ def slot_by_slot_island_step(states, policy_row, anchors, scorer, rngs, round_id
                     state.proposal_scale = min(state.proposal_scale * 2.0, _SCALE_CAP)
                     state.non_improving = 0
     return [e for row in rows for e in row]
+
+
+def reference_preference_run(cfg, seed):
+    """A preference run read straight off the spec: (ledger columns, phase reports).
+
+    The run's four streams are seeded [seed, 0..3] (path, contexts, agent,
+    gate) and its warm batch [seed, 4]. Each step fits its window, the W
+    steps before it, plays the learner softmax of its context against the
+    reference tilt plus the estimate over beta, draws a first action and then
+    a second among the rest, and labels the pair with one uniform. Every
+    phase_length-th step closes a phase (up to max_phases of them): the
+    last dataset_phases phases' winner-minus-loser rows fit a full and a
+    half tilt, a gate subset of the phase's own steps scores them against
+    the incumbent, and an evolving run promotes the best candidate when it
+    clears eps_s and delta_H. The ledger comes from preference_ledger.
+    """
+    evolving = cfg.mode == "evodpo"
+    H, K, d, L = cfg.H, cfg.K, cfg.d, cfg.phase_length
+    W = window_size(H, cfg.kappa)
+    max_phases = cfg.max_phases if cfg.max_phases > 0 else H // L
+    path = generate_path(H, d, make_drift(cfg, H), np.random.default_rng([seed, 0]))
+    rng_ctx = np.random.default_rng([seed, 1])
+    rng_agent = np.random.default_rng([seed, 2])
+    rng_gate = np.random.default_rng([seed, 3])
+    if cfg.fixed_context:
+        feats = np.stack([one_shot_features(K, d, rng_ctx)] * H)
+    else:
+        feats = one_shot_features(K, d, rng_ctx, (H,))
+    utils = np.stack([feats[t] @ path.thetas[t] for t in range(H)])
+    theta_hat, g_ref = np.zeros(d), np.zeros(d)
+    if cfg.warm_scale > 0.0:
+        theta_hat, g_ref = materialised_warm_start(
+            cfg, np.random.default_rng([seed, 4]), path.thetas[0])
+    steps = []  # (t, first, second, first wins) per step
+    learners, ref_tilts, phases = [], [g_ref], []
+    for t in range(H):
+        if t > 0:
+            window = steps[max(0, t - W):t]
+            X = np.array([feats[s][a] - feats[s][b] for s, a, b, _ in window])
+            labels = np.array([float(won) for *_, won in window])
+            theta_hat, _ = fit_logistic_window(X, labels, cfg.lam, theta0=theta_hat)
+        learner = method_softmax_rows(feats[t] @ (g_ref + theta_hat / cfg.beta), cfg.pi_min)
+        learners.append(learner)
+        first = cumsum_draw(rng_agent, learner)
+        rest = learner.copy()
+        rest[first] = 0.0
+        second = cumsum_draw(rng_agent, rest)
+        steps.append((t, first, second, step_label(rng_agent.uniform(), utils[t], first, second)))
+        if (t + 1) % L == 0 and len(phases) < max_phases:
+            dataset = steps[max(0, t + 1 - cfg.dataset_phases * L):]
+            dphi = np.array([feats[s][a] - feats[s][b] if won else feats[s][b] - feats[s][a]
+                             for s, a, b, won in dataset])
+            w_full = fit_dpo(dphi, cfg.dpo_lam)
+            w_half = fit_dpo(dphi[:math.ceil(len(dphi) / 2)], cfg.dpo_lam)
+            take = min(cfg.gate_size, L)
+            gate_feats = feats[t + 1 - L + rng_gate.choice(L, size=take, replace=False)]
+            scorer = path.thetas[t] if cfg.true_theta_scores else theta_hat
+            # the gate's tables as one einsum each, as the loop forms them; a
+            # per-context product rounds differently in about half the tables
+            u_rows = np.einsum("nkd,d->nk", gate_feats, scorer)
+            tilts = [g_ref + w_full / cfg.beta, g_ref + w_half / cfg.beta, g_ref]
+            cand_rows = [method_softmax_rows(np.einsum("nkd,d->nk", gate_feats, g), cfg.pi_min)
+                         for g in tilts]
+            best, delta_s, kl_hat = propose_reference(cand_rows, u_rows, cfg.beta_ref)
+            accepted = evolving and delta_s >= cfg.eps_s and kl_hat <= cfg.delta_H
+            promoted = accepted and best != 2
+            version = phases[-1].ref_version_after if phases else 0
+            phases.append(PhaseReport(
+                phase_index=len(phases) + 1, n_pairs=len(dphi), delta_s=delta_s, kl_hat=kl_hat,
+                decision=("accept" if accepted else "reject") if evolving else "inert",
+                accepted=accepted, chosen=CANDIDATE_LABELS[best], ref_version_before=version,
+                ref_version_after=version + promoted, beta=cfg.beta, eps_s=cfg.eps_s,
+                delta_H=cfg.delta_H, gate_size=take))
+            if promoted:
+                g_ref = tilts[best]
+            ref_tilts.append(g_ref)
+    cols = preference_ledger(utils, learners, feats, path.thetas, ref_tilts, cfg)
+    cols["t"] = np.arange(1, H + 1)
+    cols["oracle_arm"] = np.array([int(np.argmax(u)) for u in utils])
+    cols["switch"] = np.array([0] + [
+        int(np.argmax(feats[t] @ path.thetas[t]) != np.argmax(feats[t] @ path.thetas[t - 1]))
+        for t in range(1, H)])
+    return cols, phases

@@ -24,6 +24,7 @@ from driftpref.prefloop import (
     run_preference_loop,
     sample_categorical,
 )
+from driftpref.verify import scaling_base_config
 from oracles import (
     cumsum_draw,
     dpo_loss,
@@ -832,3 +833,22 @@ class TestWarmStartMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3.5e6
+
+
+class TestRunMemory:
+    def test_traced_peak_of_one_arm_at_the_bench_config(self):
+        # One evolving arm at pref-drift's config (H = 2000, 25,600 warm
+        # pairs) peaks near 3.58e6 bytes: the warm start's Newton fit on its
+        # 1.0 MB of difference rows, over the run's (H, K, d) contexts and
+        # per-step arrays. Holding the warm batch's (25600, 5, 5) contexts
+        # (5.1 MB) would pass the bound. A short run first loads what a cold
+        # first call would count.
+        cfg = scaling_base_config()
+        run_preference_loop(replace(cfg, H=40, warm_pairs=10), 0)
+        tracemalloc.start()
+        try:
+            run_preference_loop(cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0e6

@@ -11,7 +11,8 @@ import pytest
 import oracles
 from driftpref.config import RunConfig
 from driftpref.env import DriftConfig, generate_path, make_features, spread_drift_limits
-from driftpref.errors import ConfigError
+from driftpref.cli import main
+from driftpref.errors import ConfigError, ConvergenceError
 from driftpref import verify
 from driftpref.verify import (
     _BLOCK,
@@ -475,23 +476,28 @@ class TestFrozenBiasCheck:
         assert asdict(a) == asdict(b)
 
 
-def stub_loop(regret_exp, bias_slope, frozen_bias=None):
+def stub_loop(regret_exp, bias_slope, frozen_bias=None, fail_seed=None):
     """A stand-in for run_preference_loop with chosen outcomes.
 
     Seed s of arm m ("evodpo" or "fixed-ref") ends a horizon-T run with
     cumulative regret 3 T^regret_exp[m][s] and cumulative bias
     2 T^bias_slope[m], so the study's log-log fits read back the chosen
-    exponents; with drift frozen, the bias is frozen_bias[m] per step.
+    exponents; with drift frozen, the bias is frozen_bias[m] per step and
+    so is the regret. The evolving arm's accept rate is 0.5; the fixed
+    arm's is None, as a real fixed-ref run's is. Seed fail_seed raises
+    the ConvergenceError a window fit raises.
     """
     def run(cfg, seed):
+        if seed == fail_seed:
+            raise ConvergenceError("window logistic fit did not converge", np.zeros(2), 0.25)
         T, m = cfg.H, cfg.mode
         if cfg.drift_mode == "frozen":
-            bias = frozen_bias[m] * T
+            regret = bias = frozen_bias[m] * T
         else:
-            bias = 2.0 * T ** bias_slope[m]
-        ledger = SimpleNamespace(final_regret=lambda: 3.0 * T ** regret_exp[m][seed],
-                                 cumulative_bias=lambda: bias)
-        return SimpleNamespace(ledger=ledger, accept_rate=lambda: 0.5)
+            regret, bias = 3.0 * T ** regret_exp[m][seed], 2.0 * T ** bias_slope[m]
+        ledger = SimpleNamespace(final_regret=lambda: regret, cumulative_bias=lambda: bias)
+        rate = 0.5 if m == "evodpo" else None
+        return SimpleNamespace(ledger=ledger, accept_rate=lambda: rate)
     return run
 
 
@@ -555,6 +561,35 @@ class TestScalingVerdictThresholds:
         assert (rep.evolving_mean_abs_bias, rep.fixed_mean_abs_bias) == pytest.approx(
             (abs(evo), abs(fix)), rel=1e-12)
         assert rep.passed == passed
+
+
+class TestStudySeedNaming:
+    """A solver failure inside either study leaves naming the seed it ran."""
+
+    PASSING = {"evodpo": [0.5] * 20, "fixed-ref": [1.0] * 20}, {"evodpo": 0.2, "fixed-ref": 0.6}
+
+    def test_scaling_study_names_the_seed(self, monkeypatch):
+        monkeypatch.setattr(verify, "run_preference_loop", stub_loop(*self.PASSING, fail_seed=3))
+        with pytest.raises(ConvergenceError) as info:
+            check_regret_scaling()
+        assert info.value.seed == 3
+
+    def test_frozen_study_names_the_seed(self, monkeypatch):
+        monkeypatch.setattr(verify, "run_preference_loop", stub_loop(
+            {}, {}, frozen_bias={"evodpo": 0.0, "fixed-ref": 0.0}, fail_seed=3))
+        with pytest.raises(ConvergenceError) as info:
+            check_frozen_bias()
+        assert info.value.seed == 3
+
+    def test_verify_with_the_study_exits_three_naming_the_seed(self, monkeypatch, tmp_path,
+                                                               capsys):
+        monkeypatch.setattr(verify, "run_preference_loop", stub_loop(*self.PASSING, fail_seed=3))
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("mode = verify\nscaling = true\ntrials = 40\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "error: verify seed 3: window logistic fit did not converge "
+            "(residual grad norm 2.500e-01)\n")
 
 
 class TestEstimationErrorOracle:
