@@ -35,14 +35,7 @@ from .islands import (
     run_reward_episode,
     strategist_rules,
 )
-from .policies import (
-    apply_floor,
-    gate_kl_estimate,
-    gibbs,
-    inspector_score,
-    kl,
-    softmax_rows,
-)
+from .policies import gibbs, kl, softmax_rows
 from .prefloop import (
     PhaseReport,
     RunRecord,
@@ -54,7 +47,6 @@ from .prefloop import (
 from .regret import (
     RegretLedger,
     min_margin,
-    nmr,
     regret_decompose,
     slope_fit,
     switch_flags,

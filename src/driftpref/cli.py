@@ -10,8 +10,9 @@ no wall-clock or path-dependent state enters the output.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
 
@@ -210,8 +211,6 @@ def _report_cell(path: Path, data: dict, key: str) -> str:
 
 def execute_report(paths: list[str], out_dir: Path) -> int:
     """Aggregate run summaries into one comparison table."""
-    import json
-
     if not paths:
         raise ConfigError("report needs at least one summary JSON path")
     lines = ["mode,n_seeds,final_mean,final_sem,slope_exponent,accept_rate"]
@@ -248,20 +247,18 @@ def load_config(args) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"missing config file: {path}")
-        cfg = parse_config(path.read_text(), base=cfg)
+        cfg = parse_config(path.read_text())
     overrides = {}
-    if getattr(args, "mode", None):
+    if args.mode:
         overrides["mode"] = args.mode
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seeds"] = (args.seed,)
-    if getattr(args, "seeds", None):
+    if args.seeds:
         try:
             overrides["seeds"] = parse_seeds(args.seeds)
         except ValueError as exc:
             raise ConfigError(f"bad value for --seeds: {exc}") from exc
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     return cfg
 

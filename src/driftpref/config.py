@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -153,7 +153,7 @@ _PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str,
 _KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Parse key = value lines ('#' starts a comment) into a RunConfig.
 
     Unknown keys, keys set twice and malformed lines raise ConfigError
@@ -183,5 +183,4 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             values[key] = _KEY_PARSERS[key](raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    base_cfg = base if base is not None else RunConfig()
-    return replace(base_cfg, **values)
+    return RunConfig(**values)

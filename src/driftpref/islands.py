@@ -31,7 +31,7 @@ from .numerics import solve
 from .policies import softmax_rows
 from .prefloop import (PhaseReport, RunRecord, fit_dpo, gate, phase_ends, promote,
                        propose_reference, sample_categorical)
-from .regret import RegretLedger, nmr as nmr_of
+from .regret import RegretLedger
 
 # Substream tags. The episode tags key the scorer's [seed, _S_EVAL, round, episode,
 # tag] streams and the reward bandit's [seed, tag], the same keys as the preference
@@ -96,7 +96,7 @@ class EpisodeResult:
     expected_chosen: np.ndarray  # (E, C, horizon)
     oracle_arm: np.ndarray  # (E, horizon)
     switch: np.ndarray  # (E, horizon)
-    nmr: np.ndarray  # (E, C)
+    nmr: np.ndarray  # (E, C): negative mean regret on expected rewards
 
 
 def run_reward_episode(
@@ -206,8 +206,7 @@ def run_reward_episode(
         expected_chosen=expected_chosen,
         oracle_arm=oracle_arm,
         switch=switch,
-        nmr=np.array([[nmr_of(best, row) for row in chosen]
-                      for best, chosen in zip(expected_best, expected_chosen)]),
+        nmr=-np.mean(expected_best[:, None] - expected_chosen, axis=2),
     )
 
 

@@ -18,21 +18,6 @@ from .errors import ConfigError, ContractError
 DEFAULT_SUPPORT_FLOOR = 1e-9
 
 
-def apply_floor(table: np.ndarray, floor: float = DEFAULT_SUPPORT_FLOOR) -> np.ndarray:
-    """Mix a normalized row (or table of rows) with the uniform distribution.
-
-    The mixture (1 - K*floor) * p + floor keeps rows summing to one while
-    guaranteeing every entry >= floor exactly. floor = 0 is a no-op.
-    """
-    table = np.asarray(table, dtype=float)
-    n_actions = table.shape[-1]
-    if floor < 0.0 or n_actions * floor >= 1.0:
-        raise ConfigError(f"floor must lie in [0, 1/K), got {floor}")
-    if floor == 0.0:
-        return table
-    return (1.0 - n_actions * floor) * table + floor
-
-
 def gibbs(
     pi_ref: np.ndarray,
     u: np.ndarray,
@@ -60,11 +45,21 @@ def gibbs(
 
 
 def softmax_rows(logits: np.ndarray, floor: float = DEFAULT_SUPPORT_FLOOR) -> np.ndarray:
-    """Row-wise softmax with the support floor; logits shape (..., K)."""
+    """Row-wise softmax with the support floor; logits shape (..., K).
+
+    The floor mixes each row with the uniform distribution: the mixture
+    (1 - K*floor) * p + floor keeps rows summing to one while guaranteeing
+    every entry >= floor exactly. floor = 0 leaves the softmax as it is.
+    """
     logits = np.asarray(logits, dtype=float)
+    n_actions = logits.shape[-1]
+    if floor < 0.0 or n_actions * floor >= 1.0:
+        raise ConfigError(f"floor must lie in [0, 1/K), got {floor}")
     weights = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
     weights /= np.add.reduce(weights, axis=-1, keepdims=True)
-    return apply_floor(weights, floor)
+    if floor == 0.0:
+        return weights
+    return (1.0 - n_actions * floor) * weights + floor
 
 
 def kl(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
@@ -85,17 +80,3 @@ def kl(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     terms[mask] = p[mask] * (np.log(p[mask]) - np.log(q[mask]))
     out = terms.sum(axis=-1)
     return float(out) if p.ndim == 1 else out
-
-
-def gate_kl_estimate(pi_rows: np.ndarray, ref_rows: np.ndarray) -> float:
-    """Mean exact per-context KL over the gate subset's rows."""
-    return float(np.mean(kl(pi_rows, ref_rows)))
-
-
-def inspector_score(pi_rows: np.ndarray, u_rows: np.ndarray) -> float:
-    """Mean expected utility of the policy rows under the scorer's utilities."""
-    pi_rows = np.asarray(pi_rows, dtype=float)
-    u_rows = np.asarray(u_rows, dtype=float)
-    if pi_rows.shape != u_rows.shape or pi_rows.ndim != 2:
-        raise ContractError("policy and utility tables must be 2-d and matching")
-    return float(np.mean(np.sum(pi_rows * u_rows, axis=1)))

@@ -31,7 +31,7 @@ from .env import generate_path, make_drift, make_features, pair_rows
 from .errors import ConfigError, ContractError
 from .estimator import fit_logistic_window, window_size
 from .numerics import newton_logistic, sigmoid
-from .policies import gate_kl_estimate, inspector_score, softmax_rows
+from .policies import kl, softmax_rows
 from .regret import RegretLedger, regret_decompose, switch_flags
 
 # Substream tags: path, contexts, agent draws, gate subsets, warmup batch.
@@ -80,16 +80,22 @@ def propose_reference(
 ) -> tuple[int, float, float]:
     """Pick the candidate maximizing score minus beta_ref * KL to the incumbent.
 
-    The incumbent is the last candidate. Scores and KL are means over the
-    gate subset's rows. Ties resolve to the earliest candidate. Returns
-    (index, its score minus the incumbent's, its KL to the incumbent).
+    The incumbent is the last candidate. A candidate's score is the mean
+    over the gate subset's rows of its expected utility under u_rows, and
+    its KL the mean of its rows' exact KL to the incumbent's. Ties resolve
+    to the earliest candidate. Returns (index, its score minus the
+    incumbent's, its KL to the incumbent).
     """
     if beta_ref <= 0.0:
         raise ConfigError(f"beta_ref must be positive, got {beta_ref}")
     if not candidate_rows:
         raise ContractError("need at least one candidate")
-    scores = [inspector_score(rows, u_rows) for rows in candidate_rows]
-    kls = [gate_kl_estimate(rows, candidate_rows[-1]) for rows in candidate_rows]
+    u_rows = np.asarray(u_rows, dtype=float)
+    candidate_rows = [np.asarray(rows, dtype=float) for rows in candidate_rows]
+    if u_rows.ndim != 2 or any(rows.shape != u_rows.shape for rows in candidate_rows):
+        raise ContractError("policy and utility tables must be 2-d and matching")
+    scores = [float(np.mean(np.sum(rows * u_rows, axis=1))) for rows in candidate_rows]
+    kls = [float(np.mean(kl(rows, candidate_rows[-1]))) for rows in candidate_rows]
     objectives = [s - beta_ref * k for s, k in zip(scores, kls)]
     best = max(range(len(objectives)), key=objectives.__getitem__)
     return best, scores[best] - scores[-1], kls[best]

@@ -105,17 +105,6 @@ def min_margin(thetas: np.ndarray, features: np.ndarray,
     return float(gaps.min()) if gaps.size else np.inf
 
 
-def nmr(expected_best: np.ndarray, expected_chosen: np.ndarray) -> float:
-    """Negative mean regret on expected (noise-free) rewards; higher is better."""
-    expected_best = np.asarray(expected_best, dtype=float)
-    expected_chosen = np.asarray(expected_chosen, dtype=float)
-    if expected_best.shape != expected_chosen.shape or expected_best.ndim != 1:
-        raise ContractError("reward sequences must be equal-length rows")
-    if expected_best.shape[0] == 0:
-        raise ContractError("reward sequences must be nonempty")
-    return float(-np.mean(expected_best - expected_chosen))
-
-
 def slope_fit(horizons, values) -> float:
     """Least-squares slope of log(values) against log(horizons)."""
     horizons = np.asarray(horizons, dtype=float)

@@ -107,6 +107,24 @@ MUTANTS = (
            ("tests/test_verify.py::TestStudySeedNaming",)),
     Mutant("window-one-row-short", "prefloop.py", "lo = max(0, t - W)", "lo = max(0, t - W + 1)",
            ("tests/test_reference_run.py::TestDrawnConfigs",)),
+    Mutant("gate-kl-against-first", "prefloop.py", "kl(rows, candidate_rows[-1])",
+           "kl(rows, candidate_rows[0])",
+           ("tests/test_prefloop.py::TestProposeReference::test_matches_brute_force_objective",
+            "tests/test_policies.py::TestGateKlEstimate")),
+    Mutant("nmr-sign-dropped", "islands.py",
+           "nmr=-np.mean(expected_best[:, None] - expected_chosen, axis=2)",
+           "nmr=np.mean(expected_best[:, None] - expected_chosen, axis=2)",
+           ("tests/test_regret.py::TestNmr",
+            "tests/test_islands.py::TestRunRewardBandit::"
+            "test_drawn_configs_match_reference_episode")),
+    Mutant("nmr-wrong-axis", "islands.py",
+           "nmr=-np.mean(expected_best[:, None] - expected_chosen, axis=2)",
+           "nmr=-np.mean(expected_best[:, None] - expected_chosen, axis=1)",
+           ("tests/test_regret.py::TestNmr::test_matches_direct_mean",)),
+    Mutant("floor-ignores-action-count", "policies.py", "(1.0 - n_actions * floor) * weights",
+           "(1.0 - floor) * weights",
+           ("tests/test_policies.py::TestApplyFloor::"
+            "test_entries_at_least_floor_and_sum_preserved",)),
 )
 
 

@@ -201,9 +201,3 @@ class TestParseConfig:
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("drift_spread = maybe\n")
-
-    def test_base_overlay(self):
-        base = RunConfig(K=7)
-        cfg = parse_config("d = 2\n", base=base)
-        assert cfg.K == 7
-        assert cfg.d == 2

@@ -23,7 +23,7 @@ from driftpref.islands import (
     run_reward_episode,
     strategist_rules,
 )
-from driftpref.regret import nmr, switch_flags
+from driftpref.regret import RegretLedger, switch_flags
 
 import oracles
 
@@ -60,7 +60,7 @@ def reference_episode(cand, K, d, horizon, path, noise_scale, rng_ctx, rng_noise
     This is the per-candidate, per-episode loop the batched kernel replaced,
     kept as its oracle. Contexts and noise are drawn for the whole horizon at
     once, and the oracle columns come from the whole-horizon utility table:
-    (expected_chosen, nmr, oracle_arm, switch).
+    (expected_best, expected_chosen, nmr, oracle_arm, switch).
     """
     feats = rng_ctx.standard_normal((horizon, K, d))
     feats /= np.linalg.norm(feats, axis=2, keepdims=True)
@@ -89,8 +89,9 @@ def reference_episode(cand, K, d, horizon, path, noise_scale, rng_ctx, rng_noise
         b += reward * x
         arms[t] = arm
         rewards[t] = reward
+    expected_best = utils.max(axis=1)
     expected_chosen = utils[np.arange(horizon), arms]
-    return (expected_chosen, nmr(utils.max(axis=1), expected_chosen),
+    return (expected_best, expected_chosen, -float(np.mean(expected_best - expected_chosen)),
             np.argmax(utils, axis=1), switch_flags(path.thetas, feats))
 
 
@@ -133,7 +134,7 @@ class TestRunRewardEpisode:
         assert res.expected_chosen.shape == (1, 1, 80) and res.nmr.shape == (1, 1)
         assert np.all(res.expected_best >= res.expected_chosen[:, 0] - 1e-12)
         assert res.switch[0, 0] == 0
-        assert abs(res.nmr[0, 0] - nmr(res.expected_best[0], res.expected_chosen[0, 0])) < 1e-15
+        assert res.nmr[0, 0] == -np.mean(res.expected_best[0] - res.expected_chosen[0, 0])
         assert res.oracle_arm.min() >= 0
 
     def test_deterministic(self):
@@ -152,9 +153,10 @@ class TestBatchedEpisodeMatchesReferenceLoop:
         assert res.expected_chosen.shape == (len(seeds), len(cands), horizon)
         for e, (seed, path) in enumerate(zip(seeds, episode_batch(seeds, d, horizon)[0])):
             for c, cand in enumerate(cands):
-                chosen, score, oracle, switch = reference_episode(
+                best, chosen, score, oracle, switch = reference_episode(
                     cand, K, d, horizon, path, noise_scale,
                     np.random.default_rng([seed, 1]), np.random.default_rng([seed, 2]))
+                assert np.array_equal(res.expected_best[e], best), seed
                 assert np.array_equal(res.expected_chosen[e, c], chosen), (seed, c, cand)
                 assert res.nmr[e, c] == score, (seed, c, cand)
             assert np.array_equal(res.oracle_arm[e], oracle), seed
@@ -784,3 +786,37 @@ class TestRunRewardBandit:
             for name in ("regret_step", "regret_cum", "oracle_arm", "switch"):
                 assert np.array_equal(getattr(res.ledger, name),
                                       getattr(alone.ledger, name)), (seed, name)
+
+    def test_drawn_configs_match_reference_episode(self):
+        # Every record, ledger column by column, is the reference loop's
+        # episode on the seed's own [seed, tag] streams.
+        rng = np.random.default_rng(26)
+        for draw in range(8):
+            H = int(rng.integers(20, 301))
+            cfg = RunConfig(
+                mode="reward-bandit", H=H, K=int(rng.integers(1, 7)), d=int(rng.integers(1, 6)),
+                window_size=int(rng.integers(1, H + 20)),
+                lambda_reg=float(10 ** rng.uniform(-2, 1)),
+                ucb_alpha=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
+                noise_scale=float(rng.choice([0.0, 0.3, 1.0])),
+                drift_spread=bool(draw % 2))
+            seeds = [int(s) for s in rng.integers(0, 1000, int(rng.integers(1, 4)))]
+            cand = StrategyCandidate(cfg.window_size, cfg.lambda_reg, cfg.ucb_alpha)
+            for seed, rec in zip(seeds, run_reward_bandit(cfg, seeds), strict=True):
+                def stream(tag):
+                    return np.random.default_rng([seed, tag])
+                path = generate_path(H, cfg.d, make_drift(cfg, H), stream(islands._S_EPATH))
+                best, chosen, score, oracle, switch = reference_episode(
+                    cand, cfg.K, cfg.d, H, path, cfg.noise_scale,
+                    stream(islands._S_ECTX), stream(islands._S_ENOISE))
+                regret = best - chosen
+                want = {"t": np.arange(1, H + 1), "phase": np.zeros(H, dtype=int),
+                        "bias": np.zeros(H), "error": regret, "regret_step": regret,
+                        "regret_cum": np.cumsum(regret), "oracle_arm": oracle,
+                        "switch": switch}
+                assert set(want) == set(RegretLedger.COLUMNS)
+                for name, column in want.items():
+                    got = getattr(rec.ledger, name)
+                    assert got.dtype == column.dtype and np.array_equal(got, column), \
+                        (draw, seed, name)
+                assert rec.final_metric == score, (draw, seed)

@@ -1,4 +1,8 @@
-"""Support floors, Gibbs tilts, and divergence accounting."""
+"""Support floors, Gibbs tilts, and divergence accounting.
+
+The gate's score and KL estimate are read off propose_reference, the one
+place that forms them.
+"""
 
 import math
 
@@ -6,15 +10,9 @@ import numpy as np
 import pytest
 
 from driftpref.errors import ConfigError, ContractError
-from driftpref.policies import (
-    apply_floor,
-    gate_kl_estimate,
-    gibbs,
-    inspector_score,
-    kl,
-    softmax_rows,
-)
-from oracles import method_softmax_rows
+from driftpref.policies import gibbs, kl, softmax_rows
+from driftpref.prefloop import propose_reference
+from oracles import kl_row, method_softmax_rows
 
 
 def random_row(rng, k):
@@ -27,25 +25,28 @@ def tv(p, q):
 
 
 class TestApplyFloor:
+    """softmax_rows mixes its rows with the uniform distribution."""
+
     def test_zero_floor_is_identity(self):
-        row = np.array([0.9, 0.1, 0.0])
-        assert apply_floor(row, 0.0) is row
+        logits = np.array([math.log(0.9), math.log(0.1), -np.inf])
+        out = softmax_rows(logits, 0.0)
+        assert out[2] == 0.0
+        assert np.array_equal(out, method_softmax_rows(logits, 0.0))
 
     def test_entries_at_least_floor_and_sum_preserved(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            row = random_row(rng, 5)
-            row[0] = 0.0
-            row /= row.sum()
-            out = apply_floor(row, 1e-6)
+            logits = np.log(random_row(rng, 5))
+            logits[0] = -np.inf
+            out = softmax_rows(logits, 1e-6)
             assert np.all(out >= 1e-6)
             assert abs(out.sum() - 1.0) < 1e-12
 
     def test_invalid_floor(self):
         with pytest.raises(ConfigError):
-            apply_floor(np.array([0.5, 0.5]), -1e-3)
+            softmax_rows(np.array([0.5, 0.5]), -1e-3)
         with pytest.raises(ConfigError):
-            apply_floor(np.array([0.5, 0.5]), 0.5)
+            softmax_rows(np.array([0.5, 0.5]), 0.5)
 
 
 class TestGibbs:
@@ -233,35 +234,62 @@ class TestKlPerturbationBound:
         assert violations == 0
 
 
+def chosen_over(rows, ref, gain=1e3):
+    """propose_reference on [rows, ref], with utilities that make rows win.
+
+    The utilities 1000 * (rows - ref) give rows a score gain over ref that
+    a beta_ref of 1e-12 cannot outweigh, so the verdict reports rows.
+    """
+    best, delta_s, kl_hat = propose_reference([rows, ref], gain * (rows - ref), 1e-12)
+    assert best == 0
+    return kl_hat
+
+
 class TestGateKlEstimate:
+    """The KL that propose_reference reports: the mean per-context KL."""
+
     def test_single_context_equals_kl(self):
         rng = np.random.default_rng(15)
         p = random_row(rng, 4)[None, :]
         q = random_row(rng, 4)[None, :]
-        assert abs(gate_kl_estimate(p, q) - kl(p[0], q[0])) < 1e-15
+        assert abs(chosen_over(p, q) - kl_row(p[0], q[0])) < 1e-15
 
     def test_matches_mean_of_kl_calls(self):
         rng = np.random.default_rng(16)
         p = np.stack([random_row(rng, 5) for _ in range(32)])
         q = np.stack([random_row(rng, 5) for _ in range(32)])
-        oracle = np.mean([kl(p[i], q[i]) for i in range(32)])
-        assert abs(gate_kl_estimate(p, q) - oracle) < 1e-12
+        oracle = np.mean([kl_row(p[i], q[i]) for i in range(32)])
+        assert abs(chosen_over(p, q) - oracle) < 1e-12
 
 
 class TestInspectorScore:
+    """The score that propose_reference compares: the mean expected utility."""
+
     def test_matches_mean_of_values(self):
         rng = np.random.default_rng(17)
-        pi = np.stack([random_row(rng, 4) for _ in range(20)])
         u = rng.normal(size=(20, 4))
-        oracle = np.mean([sum(float(pi[i, k]) * float(u[i, k]) for k in range(4))
-                          for i in range(20)])
-        assert abs(inspector_score(pi, u) - oracle) < 1e-12
+        # a tilt toward higher utility outscores the uniform incumbent
+        pi = softmax_rows(5.0 * u, 0.0)
+        ref = np.full((20, 4), 0.25)
+        oracle = [np.mean([sum(float(rows[i, k]) * float(u[i, k]) for k in range(4))
+                           for i in range(20)]) for rows in (pi, ref)]
+        best, delta_s, _ = propose_reference([pi, ref], u, beta_ref=1e-12)
+        assert best == 0
+        assert abs(delta_s - (oracle[0] - oracle[1])) < 1e-12
 
     def test_point_mass_on_best_arm_attains_max(self):
         u = np.array([[0.1, 0.9, 0.4]])
         pi = np.array([[0.0, 1.0, 0.0]])
-        assert abs(inspector_score(pi, u) - 0.9) < 1e-15
+        ref = np.full((1, 3), 1.0 / 3.0)
+        best, delta_s, _ = propose_reference([pi, ref], u, beta_ref=1e-12)
+        assert best == 0
+        assert abs(delta_s - (0.9 - np.mean(u))) < 1e-15
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
-            inspector_score(np.array([[0.5, 0.5]]), np.array([[1.0, 2.0, 3.0]]))
+            propose_reference([np.array([[0.5, 0.5]])], np.array([[1.0, 2.0, 3.0]]), 1.0)
+        with pytest.raises(ContractError):
+            propose_reference([np.array([0.5, 0.5])], np.array([1.0, 2.0]), 1.0)
+        with pytest.raises(ContractError):
+            propose_reference([np.array([[0.5, 0.5]]), np.array([[0.2, 0.3, 0.5]])],
+                              np.array([[1.0, 2.0]]), 1.0)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from driftpref.config import RunConfig
+from driftpref.env import DriftConfig, generate_path
 from driftpref.errors import ContractError
+from driftpref.islands import StrategyCandidate, run_reward_episode
 from driftpref.prefloop import run_preference_loop
 from driftpref.regret import (
     RegretLedger,
     min_margin,
-    nmr,
     regret_decompose,
     slope_fit,
     switch_flags,
@@ -197,34 +198,42 @@ class TestMinMargin:
         assert min_margin(thetas, feats, np.ones(3, dtype=int)) == np.inf
 
 
-class TestNmr:
-    def test_following_oracle_gives_zero(self):
-        best = np.array([0.5, 0.7, 0.9])
-        assert nmr(best, best.copy()) == 0.0
+def episodes(seeds, K, d=3, horizon=60):
+    """Three bandit candidates against one drifting episode per seed."""
+    cands = [StrategyCandidate(1, 0.5, 1.0), StrategyCandidate(15, 0.1, 0.5),
+             StrategyCandidate(80, 2.0, 0.0)]
+    drift = DriftConfig(delta_min=0.2, delta_max=1.0, tv_budget=1e9)
+    paths = [generate_path(horizon, d, drift, np.random.default_rng([s, 0])) for s in seeds]
+    return run_reward_episode(cands, K, d, horizon, paths, 1.0,
+                              [np.random.default_rng([s, 1]) for s in seeds],
+                              [np.random.default_rng([s, 2]) for s in seeds])
 
-    def test_constant_gap(self):
-        best = np.ones(4)
-        chosen = np.full(4, 0.5)
-        assert abs(nmr(best, chosen) - (-0.5)) < 1e-15
+
+class TestNmr:
+    """EpisodeResult.nmr: each member's negative mean regret on expected rewards."""
+
+    def test_following_oracle_gives_zero(self):
+        res = episodes([0, 1], K=1)
+        assert res.nmr.shape == (2, 3)
+        assert np.all(res.nmr == 0.0)
 
     def test_never_positive_when_best_dominates(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            chosen = rng.normal(size=20)
-            best = chosen + rng.random(20)
-            assert nmr(best, chosen) <= 0.0
+        for seed in range(5):
+            res = episodes([seed, seed + 10], K=4)
+            assert np.all(res.expected_best[:, None] >= res.expected_chosen)
+            assert np.all(res.nmr <= 0.0)
+            assert np.any(res.nmr < 0.0)
 
     def test_matches_direct_mean(self):
-        rng = np.random.default_rng(6)
-        best = rng.normal(size=50)
-        chosen = rng.normal(size=50)
-        assert abs(nmr(best, chosen) + np.mean(best - chosen)) < 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ContractError):
-            nmr(np.zeros(0), np.zeros(0))
-        with pytest.raises(ContractError):
-            nmr(np.zeros(3), np.zeros(4))
+        # each member's row on its own, so a mean over the wrong axis or a
+        # dropped sign shows in some entry
+        for seeds in ([6], [6, 7], [8, 9, 10, 11]):
+            res = episodes(seeds, K=5, horizon=45)
+            assert res.nmr.shape == (len(seeds), 3)
+            for e in range(len(seeds)):
+                for c in range(3):
+                    assert res.nmr[e, c] == -np.mean(
+                        res.expected_best[e] - res.expected_chosen[e, c]), (e, c)
 
 
 class TestSlopeFit:
