@@ -5,21 +5,37 @@ the bytes across versions. A change that alters a digest on purpose must
 say why and record the new digests:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The bytes also depend on the kernel that numpy's bundled OpenBLAS picks
+for the host CPU when numpy is imported: the AVX-512 kernel fuses
+multiply-adds that the AVX2 (Haswell) kernel does not, and floats move in
+their last digits. So the cases run, and are recorded, in one child
+interpreter started with OPENBLAS_CORETYPE=Haswell, a kernel every AVX2
+x86-64 host can run. A host that cannot run it fails with a message naming
+the kernel and the host's CPU features. aarch64 hosts, whose OpenBLAS
+kernels differ, are out of scope.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import driftpref
 from driftpref.cli import execute_report, execute_run
 from driftpref.config import RunConfig
 
+KERNEL = "Haswell"
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
 # delta_H = 0.1 makes the evolving arm accept some phases and reject others.
@@ -93,19 +109,54 @@ def emitted_digests(case: str, out_dir: Path) -> dict[str, str]:
             for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("case", sorted([*CASES, "report"]))
-def test_emitted_bytes_match_golden_digests(case, tmp_path):
-    expected = json.loads(DIGESTS.read_text())[case]
-    assert emitted_digests(case, tmp_path) == expected
-
-
-if __name__ == "__main__":
-    import tempfile
-
+def case_digests() -> dict[str, dict[str, str]]:
+    """Every case's digests, computed in this interpreter."""
     record = {}
     for name in sorted([*CASES, "report"]):
         with tempfile.TemporaryDirectory() as tmp:
             record[name] = emitted_digests(name, Path(tmp))
-    DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(record, indent=2) + "\n")
-    sys.stdout.write(f"wrote {DIGESTS}\n")
+    return record
+
+
+def kernel_note() -> str:
+    """The pinned kernel and the host CPU features that decide OpenBLAS's own."""
+    features = np._core._multiarray_umath.__cpu_features__
+    flags = ", ".join(f"{name}={features.get(name)}"
+                      for name in ("AVX2", "FMA3", "AVX512F", "AVX512_SKX"))
+    return f"OpenBLAS kernel pinned to OPENBLAS_CORETYPE={KERNEL}; host CPU features: {flags}"
+
+
+@functools.cache
+def pinned_run() -> subprocess.CompletedProcess:
+    """One child interpreter that prints every case's digests as JSON.
+
+    The child imports driftpref from where this process did, and numpy
+    after OPENBLAS_CORETYPE is set, which is when OpenBLAS picks its kernel.
+    """
+    src = str(Path(driftpref.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_CORETYPE=KERNEL, PYTHONPATH=path)
+    return subprocess.run([sys.executable, __file__, "--emit"], env=env,
+                          capture_output=True, text=True)
+
+
+def pinned_digests() -> dict[str, dict[str, str]]:
+    proc = pinned_run()
+    if proc.returncode != 0:
+        pytest.fail(f"the golden cases did not run ({kernel_note()}):\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("case", sorted([*CASES, "report"]))
+def test_emitted_bytes_match_golden_digests(case):
+    expected = json.loads(DIGESTS.read_text())[case]
+    assert pinned_digests()[case] == expected, kernel_note()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--emit"]:
+        sys.stdout.write(json.dumps(case_digests()))
+    else:
+        DIGESTS.parent.mkdir(exist_ok=True)
+        DIGESTS.write_text(json.dumps(pinned_digests(), indent=2) + "\n")
+        sys.stdout.write(f"wrote {DIGESTS} ({kernel_note()})\n")
