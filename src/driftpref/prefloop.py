@@ -91,8 +91,7 @@ def propose_reference(
     if not candidate_rows:
         raise ContractError("need at least one candidate")
     u_rows = np.asarray(u_rows, dtype=float)
-    candidate_rows = [np.asarray(rows, dtype=float) for rows in candidate_rows]
-    if u_rows.ndim != 2 or any(rows.shape != u_rows.shape for rows in candidate_rows):
+    if u_rows.ndim != 2 or any(np.shape(rows) != u_rows.shape for rows in candidate_rows):
         raise ContractError("policy and utility tables must be 2-d and matching")
     scores = [float(np.mean(np.sum(rows * u_rows, axis=1))) for rows in candidate_rows]
     kls = [float(np.mean(kl(rows, candidate_rows[-1]))) for rows in candidate_rows]
