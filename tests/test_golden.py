@@ -137,7 +137,7 @@ def pinned_run() -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_CORETYPE=KERNEL, PYTHONPATH=path)
     return subprocess.run([sys.executable, __file__, "--emit"], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=600)
 
 
 def pinned_digests() -> dict[str, dict[str, str]]:
